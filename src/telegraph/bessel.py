@@ -35,6 +35,7 @@ SERIES_CAP = 200
 _REL_STOP = 1e-16
 _ASYM_CAP = 40
 _EPS = float(np.finfo(float).eps)
+_LOG_MAX = math.log(float(np.finfo(float).max))
 
 
 @dataclass(frozen=True)
@@ -135,8 +136,11 @@ def _asymptotic(z: float, order: int) -> tuple[float, float]:
         if abs(term) < 1e-17 * abs(total):
             break
     # exp(z - log sqrt(2 pi z)) postpones overflow slightly vs exp(z)/sqrt(..)
-    prefactor = math.exp(z - 0.5 * math.log(2.0 * math.pi * z))
+    log_prefactor = z - 0.5 * math.log(2.0 * math.pi * z)
+    prefactor = math.exp(log_prefactor) if log_prefactor < _LOG_MAX else math.inf
     value = prefactor * total
+    if math.isinf(value):
+        raise DomainError(f"I{order}({z!r}) exceeds the float64 range")
     bound = prefactor * 2.0 * tail + abs(value) * (math.exp(-2.0 * z) + 16 * _EPS)
     return value, bound
 
@@ -162,19 +166,25 @@ def i1_eval(z: float) -> BesselEval:
 def i0(z: float) -> float:
     """Modified Bessel function of the first kind, order zero.
 
-    Overflows to inf for z beyond ~713 (where I0 itself exceeds the
-    float64 range); accuracy is ~1e-13 relative or better for z <= 50.
+    Raises DomainError for z beyond ~713.9, where I0 itself exceeds the
+    float64 range; accuracy is ~1e-13 relative or better for z <= 50.
     """
     return i0_eval(z).value
 
 
 def i1(z: float) -> float:
-    """Modified Bessel function of the first kind, order one (= I0')."""
+    """Modified Bessel function of the first kind, order one (= I0').
+
+    Raises DomainError where I1 exceeds the float64 range (z beyond ~713.9).
+    """
     return i1_eval(z).value
 
 
 def i1_over_z(z: float) -> float:
-    """I1(z)/z, continuous through z = 0 where it equals 1/2."""
+    """I1(z)/z, continuous through z = 0 where it equals 1/2.
+
+    Raises DomainError where I1 itself exceeds the float64 range.
+    """
     z = _check_arg(z)
     if z <= SERIES_SWITCH:
         return _i1_over_z_series(z)[0]

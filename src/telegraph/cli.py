@@ -223,6 +223,8 @@ def cmd_kernel(cfg: RunConfig) -> tuple[dict, list[str], bool]:
     x = grid.points()
     psi_vals = np.atleast_1d(fundamental_solution(x, t, medium))
     dt_vals = np.atleast_1d(time_derivative_regular(x, t, medium))
+    if not (np.all(np.isfinite(psi_vals)) and np.all(np.isfinite(dt_vals))):
+        raise DomainError("kernel values exceed the float64 range; lower k*|t|")
     atom_list = [{"x": float(p), "w": float(w)}
                  for p, w in zip(atoms.positions, atoms.weights)]
     payload = {
@@ -272,8 +274,7 @@ def cmd_delta(cfg: RunConfig) -> tuple[dict, list[str], bool]:
     if v["xmax"] is None:
         v["xmax"] = 1.1 * ct
     grid_cfg = RunConfig(cfg.command, v)
-    measure = point_source_solution(v["kind"], t, medium, grid_cfg.grid(),
-                                    mass_panels=v["mass_panels"])
+    measure = point_source_solution(v["kind"], t, medium, grid_cfg.grid())
     breakdown = measure.mass_breakdown(v["mass_panels"])
     dens = measure.density
     payload = {
@@ -404,7 +405,11 @@ def main(argv=None) -> int:
 
     # validate always emits JSON (machine-readable reports)
     if cfg.command == "validate" or cfg.values.get("format") == "json":
-        text = json.dumps(payload, indent=2) + "\n"
+        try:
+            text = json.dumps(payload, indent=2, allow_nan=False) + "\n"
+        except ValueError as exc:  # nan/inf have no JSON spelling
+            print(f"error: {exc}", file=sys.stderr)
+            return 2
     else:
         text = "\n".join(csv_lines) + "\n"
     out_path = cfg.values.get("out")

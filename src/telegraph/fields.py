@@ -78,6 +78,10 @@ def zeros(grid: SpaceGrid) -> SampledField:
     return SampledField(grid, np.zeros(grid.n))
 
 
+#: Nodes folded per block in ``_window_sum``; bounds its temporaries.
+_FOLD_BLOCK = 1024
+
+
 def _cubic_weights(r: float) -> tuple[float, float, float, float]:
     # Lagrange basis on stencil offsets (-1, 0, 1, 2) evaluated at r in [0, 1)
     rm1 = r - 1.0
@@ -117,7 +121,7 @@ def sample_shifted(f: SampledField, offset: float) -> np.ndarray:
     first_inside = max(0, math.ceil(-pos))
     last_inside = min(n - 1, math.floor(n - 1 - pos))
     out[:first_inside] = 0.0
-    out[last_inside + 1:] = 0.0
+    out[max(0, last_inside + 1):] = 0.0
     return out
 
 
@@ -139,6 +143,80 @@ def sample_at(f: SampledField, xq) -> np.ndarray:
            + (-r * rp1 * rm2 / 2.0) * padded[idx + 4]
            + (r * rp1 * rm1 / 6.0) * padded[idx + 5])
     return np.where(valid, out, 0.0)
+
+
+def _window_sum(f: SampledField, offsets: np.ndarray, weights: np.ndarray,
+                out_grid: Optional[SpaceGrid] = None) -> np.ndarray:
+    """sum_j weights[j] * f(x_i - offsets[j]) at every point x_i of out_grid.
+
+    Equals the node-by-node sum of ``weights[j] * sample_shifted(f,
+    -offsets[j])`` (of ``sample_at`` on out_grid's points) up to roundoff.
+    Each node's weight times its 4 cubic-Lagrange weights is folded onto
+    integer grid offsets, and the folded stencil is applied by one direct
+    correlation of the zero-extended values; direct rather than FFT, so
+    points the stencil never reaches stay exactly zero.
+
+    Edge rule, as in ``sample_shifted``: a node whose sampled point lies
+    off the grid contributes 0, even where its 4-point stencil still
+    touches the grid.  Zero extension alone would leak f[0], f[1], f[n-2]
+    and f[n-1] into points sampled up to 2 cells outside the grid; that
+    leak is subtracted row by row from the same folded sums.
+
+    out_grid defaults to f's grid and must have the same spacing.
+    """
+    g = f.grid
+    n = g.n
+    out = g if out_grid is None else out_grid
+    w = np.asarray(weights, dtype=float)
+    r = ((out.x0 - g.x0) - np.asarray(offsets, dtype=float)) / g.dx
+    s = np.floor(r)
+    # whether row n-1-s_j samples past the right end, rounded as sample_shifted does
+    past_end = ((n - 1) - r) < ((n - 1) - s)
+    r -= s
+    s = s.astype(np.int64)
+    s_lo = int(s.min())
+    s -= s_lo
+    # folded[k][q] sums weights[j] * L_k(r_j) over the nodes with s_j = s_lo + q,
+    # for the stencil offsets k - 1 = -1..2; folded[4] is folded[1] over the
+    # past_end nodes only.  Blocks of nodes keep the temporaries small.
+    n_s = int(s.max()) + 1
+    folded = np.zeros((5, n_s))
+    for b in range(0, s.size, _FOLD_BLOCK):
+        blk = slice(b, b + _FOLD_BLOCK)
+        lag = _cubic_weights(r[blk])
+        for k, lm in enumerate(lag + (lag[1] * past_end[blk],)):
+            folded[k] += np.bincount(s[blk], weights=w[blk] * lm, minlength=n_s)
+    del r, s, past_end
+
+    # stencil[p] multiplies f[i + s_lo - 1 + p] in output row i
+    stencil = np.zeros(n_s + 3)
+    for k in range(4):
+        stencil[k:k + n_s] += folded[k]
+    # taps outside [1 - out.n, n - 1] never meet a grid value
+    lo = max(s_lo - 1, 1 - out.n)
+    hi = min(s_lo + n_s + 1, n - 1)
+    if lo > hi:
+        return np.zeros(out.n)
+    stencil = stencil[lo - s_lo + 1:hi - s_lo + 2]
+    v = f.values
+    padded = np.zeros(out.n + stencil.size - 1)  # padded[p] = f[lo + p], 0 off grid
+    first = max(0, lo)
+    stop = min(n, lo + padded.size)
+    padded[first - lo:stop - lo] = v[first:stop]
+    result = np.correlate(padded, stencil, "valid")
+
+    # row i sees node j off the grid when i + s_j is -2, -1 (left), n - 1
+    # with past_end or n (right); there its stencil still reaches these values
+    leaks = ((-1, v[0] * folded[2] + v[1] * folded[3]),
+             (-2, v[0] * folded[3]),
+             (n - 1, v[n - 2] * folded[0] + v[n - 1] * folded[4]),
+             (n, v[n - 1] * folded[0]))
+    s_vals = s_lo + np.arange(n_s)
+    for i_plus_s, leak in leaks:
+        row = i_plus_s - s_vals
+        keep = (row >= 0) & (row < out.n)
+        result[row[keep]] -= leak[keep]
+    return result
 
 
 def l2_norm(f: SampledField) -> float:

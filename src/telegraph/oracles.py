@@ -20,7 +20,7 @@ from typing import Optional
 import numpy as np
 
 from .errors import UsageError
-from .fields import (MixedMeasure, SampledField, SpaceGrid, sample_shifted)
+from .fields import MixedMeasure, SampledField, SpaceGrid, _window_sum, sample_shifted
 from .kernel import MediumParams
 from .quadrature import integrate_bins, panel_count, simpson_pattern
 from .solver import solve_rescaled
@@ -319,10 +319,7 @@ def duhamel_residual(f: SampledField, g: SampledField, t: float,
         n_sub = panel_count(2 * radius, grid.dx, cfg.min_panels, cfg.panel_factor)
         h = 2.0 * radius / n_sub
         weights = simpson_pattern(n_sub) * (h / 3.0)
-        acc = np.zeros(grid.n)
-        for j in range(n_sub + 1):
-            acc += weights[j] * sample_shifted(fld, -(-radius + j * h))
-        return acc
+        return _window_sum(fld, -radius + h * np.arange(n_sub + 1), weights)
 
     def v_at(s: float) -> SampledField:
         if cache is not None:

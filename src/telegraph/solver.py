@@ -13,9 +13,15 @@ either sign of t, which is what ``solve_rescaled`` returns.
 Quadrature is composite Simpson on the cone window; the integrands are
 continuous up to the window endpoints (the I1 term is evaluated through
 I1(w)/w), so no singular treatment is required.  Field values between
-grid points come from cubic interpolation, zero beyond the grid.  The
-per-point accumulation order is fixed, so results do not depend on how
-work is scheduled.
+grid points come from cubic interpolation.  Each window integral is one
+folded stencil (``fields._window_sum``): Simpson weight x kernel factor x
+the 4 cubic-Lagrange weights of every node are summed onto integer grid
+offsets once and applied by one direct correlation, not an FFT, so
+points the cone never reaches stay exactly zero.  Edge rule: a node whose
+sampled point lies off the grid contributes 0, even where its 4-point
+stencil still touches the grid, so a cone that reaches past the grid
+sees zero data there.  The accumulation order is fixed, so results do
+not depend on how work is scheduled.
 
 Point-mass initial data never touch quadrature for their singular part:
 ``point_source_solution`` returns the exact atoms plus the closed-form
@@ -31,7 +37,8 @@ import numpy as np
 
 from . import bessel
 from .errors import DomainError, UsageError
-from .fields import MixedMeasure, SampledField, SpaceGrid, sample_at, sample_shifted
+from .fields import (MixedMeasure, SampledField, SpaceGrid, _window_sum, sample_at,
+                     sample_shifted)
 from .kernel import CONE_EPS, MediumParams, fundamental_solution, time_derivative_regular
 from .quadrature import panel_count, simpson_pattern
 
@@ -82,11 +89,8 @@ def _rescaled_values(f: SampledField, g: SampledField, t: float,
     weights = simpson_pattern(n_sub) * (h / 3.0)
 
     out = 0.5 * (sample_shifted(f, radius) + sample_shifted(f, -radius))
-    for j in range(n_sub + 1):
-        wj = weights[j]
-        shift = -offsets[j]
-        out += (wj * ft_w[j]) * sample_shifted(f, shift)
-        out += (wj * f0_w[j]) * sample_shifted(geff, shift)
+    out += _window_sum(f, offsets, weights * ft_w)
+    out += _window_sum(geff, offsets, weights * f0_w)
     return out
 
 
@@ -151,7 +155,7 @@ def velocity(f: SampledField, g: SampledField, t: float, medium: MediumParams,
 
 
 def point_source_solution(kind: str, t: float, medium: MediumParams,
-                          grid: SpaceGrid, *, mass_panels: int = 16384) -> MixedMeasure:
+                          grid: SpaceGrid) -> MixedMeasure:
     """Mixed-measure solution for point-mass initial data.
 
     kind:
@@ -236,6 +240,11 @@ def convolve_measure(m: MixedMeasure, t: float, medium: MediumParams, which: str
 
     These are the raw (growth-compensated) kernels: no e^{-kt/2} factor is
     applied and the result is not a probability measure in general.
+
+    out_grid defaults to the density grid extended by the cone radius.
+    Given together with a density, it must have the density grid's
+    spacing, because the window quadrature runs as one stencil on whole
+    cells; its points may sit any fraction of a cell off the density's.
     """
     if which not in ("kernel", "kernel_dt"):
         raise UsageError(f"which must be 'kernel' or 'kernel_dt', got {which!r}")
@@ -248,6 +257,9 @@ def convolve_measure(m: MixedMeasure, t: float, medium: MediumParams, which: str
         if m.density is None:
             raise UsageError("out_grid is required for a measure without density samples")
         out_grid = m.density.grid.extended(int(math.ceil(radius / m.density.grid.dx)) + 2)
+    elif m.density is not None and out_grid.dx != m.density.grid.dx:
+        raise UsageError(f"out_grid spacing {out_grid.dx} differs from the density "
+                         f"grid spacing {m.density.grid.dx}")
 
     x = out_grid.points()
     dens = np.zeros(out_grid.n)
@@ -271,8 +283,7 @@ def convolve_measure(m: MixedMeasure, t: float, medium: MediumParams, which: str
         ft_w, f0_w = _cone_kernel_weights(t, medium, offsets)
         weights = simpson_pattern(n_sub) * (h / 3.0)
         kern = ft_w if which == "kernel_dt" else f0_w
-        for j in range(n_sub + 1):
-            dens += (weights[j] * kern[j]) * sample_at(d, x - offsets[j])
+        dens += _window_sum(d, offsets, weights * kern, out_grid)
         if which == "kernel_dt":
             dens += 0.5 * (sample_at(d, x - radius) + sample_at(d, x + radius))
     elif m.density is not None and radius == 0.0 and which == "kernel_dt":

@@ -58,6 +58,16 @@ class TestDomain:
         with pytest.raises(tg.DomainError):
             fn(bad)
 
+    @pytest.mark.parametrize("fn", [tg.i0, tg.i1, tg.i1_over_z, tg.i0_eval, tg.i1_eval])
+    def test_overflow_is_a_domain_error(self, fn):
+        # I0(800) and I1(800) are about 1e345, beyond float64
+        with pytest.raises(tg.DomainError, match="float64 range"):
+            fn(800.0)
+
+    @pytest.mark.parametrize("fn", [tg.i0, tg.i1, tg.i1_over_z])
+    def test_largest_representable_arguments_stay_finite(self, fn):
+        assert math.isfinite(fn(713.98))
+
 
 class TestOracleAgreement:
     def test_log_spaced_sweep(self):

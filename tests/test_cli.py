@@ -62,6 +62,23 @@ class TestKernelCommand:
         assert code == 2
         assert "speed" in err
 
+    @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
+    @pytest.mark.parametrize("fmt", ["json", "csv"])
+    def test_overflowing_kernel_writes_no_table(self, capsys, fmt):
+        # I0 of 2*alpha*c*t = 1000 exceeds float64: no Infinity tokens
+        code, out, err = run_cli(["kernel", "--k", "2000", "--format", fmt], capsys)
+        assert code == 2
+        assert out == ""
+        assert "float64" in err
+
+    def test_non_finite_json_payload_is_exit_2(self, capsys, monkeypatch):
+        monkeypatch.setattr("telegraph.cli.cmd_kernel",
+                            lambda cfg: ({"value": math.inf}, [], True))
+        code, out, err = run_cli(["kernel", "--format", "json"], capsys)
+        assert code == 2
+        assert out == ""
+        assert "JSON" in err
+
 
 class TestSolveCommand:
     def test_undamped_gaussian_averages(self, capsys, schema):

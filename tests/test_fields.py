@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import telegraph as tg
@@ -79,7 +79,8 @@ class TestInterpolation:
                 expected[i] = f.values[j]
         assert np.array_equal(got, expected)
 
-    @given(offset=st.floats(min_value=-3.0, max_value=3.0))
+    @given(offset=st.floats(min_value=-5.0, max_value=5.0))
+    @example(offset=4.375)  # 17.5 cells: past the grid, stencil still on f[16]
     @settings(max_examples=50)
     def test_shifted_matches_pointwise(self, offset):
         # points within a ULP of the grid edge may classify as inside or

@@ -6,6 +6,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import telegraph as tg
+from telegraph import oracles, solver
+from telegraph.quadrature import panel_count, simpson_pattern
 
 from conftest import gaussian
 
@@ -242,6 +244,106 @@ class TestConvolveMeasure:
         m = tg.MixedMeasure(atoms=((0.0, 1.0),), density=None, support=(0.0, 0.0))
         with pytest.raises(tg.UsageError):
             tg.convolve_measure(m, 1.0, medium, "kernel")
+
+    @pytest.mark.parametrize("which", ["kernel", "kernel_dt"])
+    def test_out_grid_needs_the_density_spacing(self, medium, which):
+        dens = gaussian(tg.SpaceGrid(-4.0, 1.0 / 8, 65))
+        m = tg.MixedMeasure(atoms=(), density=dens, support=(-4.0, 4.0))
+        out = tg.SpaceGrid(-5.0, 1.0 / 10, 101)
+        with pytest.raises(tg.UsageError, match="spacing"):
+            tg.convolve_measure(m, 1.0, medium, which, out_grid=out)
+
+
+# Cone windows that reach past the grid, on data nonzero at both grid ends.
+# Edge rule: a Simpson node whose sampled point lies off the grid adds 0,
+# even where its 4-point stencil still touches the grid.  The references
+# are node-by-node sums of sample_shifted / sample_at.
+EDGE_GRID = tg.SpaceGrid(-4.0, 1.0 / 8, 65)
+EDGE_MEDIUM = tg.MediumParams(k=1.5, c=1.0)
+
+
+def edge_data():
+    x = EDGE_GRID.points()
+    return (tg.SampledField(EDGE_GRID, 1.0 + 0.5 * np.cos(x)),
+            tg.SampledField(EDGE_GRID, 0.3 - 0.2 * np.sin(x)))
+
+
+def cone_nodes(t, medium, dx, n_sub=None):
+    radius = medium.c * abs(t)
+    n_sub = n_sub or panel_count(2 * radius, dx)
+    h = 2 * radius / n_sub
+    offsets = -radius + h * np.arange(n_sub + 1)
+    offsets[-1] = radius
+    ft_w, f0_w = solver._cone_kernel_weights(t, medium, offsets)
+    return offsets, simpson_pattern(n_sub) * (h / 3.0), ft_w, f0_w
+
+
+def assert_matches_reference(got, reference):
+    assert np.max(np.abs(got - reference)) <= 1e-13 * np.max(np.abs(reference))
+
+
+class TestConeEdgeRule:
+    # t = 8.2 puts the end nodes' points 64 to 66 cells away, past the whole
+    # grid; 10000 panels fold in more than one block of nodes
+    @pytest.mark.parametrize("t,n_panels", [(3.0, None), (-3.0, None), (8.2, None),
+                                            (-3.0, 10000)])
+    def test_solve_rescaled_matches_node_loop(self, t, n_panels):
+        f, g = edge_data()
+        radius = EDGE_MEDIUM.c * abs(t)
+        offsets, weights, ft_w, f0_w = cone_nodes(t, EDGE_MEDIUM, EDGE_GRID.dx, n_panels)
+        geff = tg.SampledField(EDGE_GRID, g.values + 0.5 * EDGE_MEDIUM.k * f.values)
+        reference = 0.5 * (tg.sample_shifted(f, radius) + tg.sample_shifted(f, -radius))
+        for j, off in enumerate(offsets):
+            reference += weights[j] * ft_w[j] * tg.sample_shifted(f, -off)
+            reference += weights[j] * f0_w[j] * tg.sample_shifted(geff, -off)
+        got = tg.solve_rescaled(f, g, t, EDGE_MEDIUM, n_panels=n_panels).values
+        assert_matches_reference(got, reference)
+
+    @pytest.mark.parametrize("which", ["kernel", "kernel_dt"])
+    def test_convolve_measure_matches_node_loop(self, which):
+        t = 1.7
+        dens, _ = edge_data()
+        m = tg.MixedMeasure(atoms=(), density=dens, support=(-4.0, 4.0))
+        dx = EDGE_GRID.dx
+        # output points sit 0.37 of a cell off the density's
+        out_grid = tg.SpaceGrid(EDGE_GRID.x0 - 19.63 * dx, dx, EDGE_GRID.n + 40)
+        radius = EDGE_MEDIUM.c * t
+        offsets, weights, ft_w, f0_w = cone_nodes(t, EDGE_MEDIUM, dx)
+        kern = ft_w if which == "kernel_dt" else f0_w
+        x = out_grid.points()
+        reference = np.zeros(out_grid.n)
+        for j, off in enumerate(offsets):
+            reference += weights[j] * kern[j] * tg.sample_at(dens, x - off)
+        if which == "kernel_dt":
+            reference += 0.5 * (tg.sample_at(dens, x - radius) + tg.sample_at(dens, x + radius))
+        reference[(x < -4.0 - radius) | (x > 4.0 + radius)] = 0.0
+        got = tg.convolve_measure(m, t, EDGE_MEDIUM, which, out_grid=out_grid)
+        assert_matches_reference(got.density.values, reference)
+
+    def test_duhamel_windows_match_node_loop(self, monkeypatch):
+        calls = []
+
+        def recording_window_sum(fld, offsets, weights):
+            result = window_sum(fld, offsets, weights)
+            calls.append((fld, offsets, weights, result))
+            return result
+
+        window_sum = oracles._window_sum
+        monkeypatch.setattr(oracles, "_window_sum", recording_window_sum)
+        f, g = edge_data()
+        cfg = tg.DuhamelConfig(n_slabs=4)
+        tg.duhamel_residual(f, g, 1.5, EDGE_MEDIUM, cfg)
+        assert len(calls) == 1 + cfg.n_slabs  # the t window, then one per slab
+        for fld, offsets, weights, result in calls:
+            # int_{x-r}^{x+r} fld by Simpson on n_sub panels
+            radius = -offsets[0]
+            n_sub = len(weights) - 1
+            h = 2 * radius / n_sub
+            pattern = simpson_pattern(n_sub) * (h / 3.0)
+            reference = np.zeros(EDGE_GRID.n)
+            for j in range(n_sub + 1):
+                reference += pattern[j] * tg.sample_shifted(fld, -(-radius + j * h))
+            assert_matches_reference(result, reference)
 
 
 class TestStructuralProperties:
