@@ -14,9 +14,7 @@ from .errors import DomainError, UsageError
 from .fields import (MassBreakdown, MixedMeasure, SampledField, SpaceGrid,
                      from_function, l2_norm, derivative_x, sample_at,
                      sample_shifted, zeros)
-from .kernel import (ConeCoordinates, KernelAtoms, MediumParams, classify_cone,
-                     fundamental_solution, time_derivative_parts,
-                     time_derivative_regular)
+from .kernel import MediumParams, fundamental_solution, time_derivative_regular
 from .oracles import (DuhamelConfig, FDConfig, ValidationReport, WalkConfig,
                       binned_tv_distance, duhamel_residual, expected_never_flip,
                       fd_config_for, fd_solve, rel_l2_error, simulate_walk,
@@ -28,15 +26,14 @@ from .solver import (convolve_measure, point_source_solution, solve,
 __version__ = "0.1.0"
 
 __all__ = [
-    "BesselEval", "ConeCoordinates", "DomainError", "DuhamelConfig",
-    "FDConfig", "KernelAtoms", "MassBreakdown", "MediumParams", "MixedMeasure",
-    "NormRow", "SampledField", "SpaceGrid", "StatePair", "UsageError",
-    "ValidationReport", "WalkConfig", "binned_tv_distance", "classify_cone",
-    "convolve_measure", "derivative_x", "duhamel_residual",
-    "expected_never_flip", "fd_config_for", "fd_solve", "from_function",
-    "fundamental_solution", "i0", "i0_eval", "i1", "i1_eval", "i1_over_z",
-    "l2_norm", "norm_report", "point_source_solution", "rel_l2_error",
-    "sample_at", "sample_shifted", "simulate_walk", "solve", "solve_rescaled",
-    "time_derivative_parts", "time_derivative_regular", "evolve", "velocity",
+    "BesselEval", "DomainError", "DuhamelConfig", "FDConfig", "MassBreakdown",
+    "MediumParams", "MixedMeasure", "NormRow", "SampledField", "SpaceGrid",
+    "StatePair", "UsageError", "ValidationReport", "WalkConfig",
+    "binned_tv_distance", "convolve_measure", "derivative_x",
+    "duhamel_residual", "expected_never_flip", "fd_config_for", "fd_solve",
+    "from_function", "fundamental_solution", "i0", "i0_eval", "i1", "i1_eval",
+    "i1_over_z", "l2_norm", "norm_report", "point_source_solution",
+    "rel_l2_error", "sample_at", "sample_shifted", "simulate_walk", "solve",
+    "solve_rescaled", "time_derivative_regular", "evolve", "velocity",
     "walk_config_for", "walk_params", "zeros",
 ]

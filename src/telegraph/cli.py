@@ -5,25 +5,13 @@ Subcommands: ``kernel`` (kernel tables), ``solve`` (initial-value problems),
 is CSV or JSON written once at the end; identical configurations (including
 the seed) produce byte-identical files.  Exit codes: 0 success, 1 validation
 failure, 2 usage or configuration error.
-
-The environment variable TELEGRAPH_THREADS caps internal parallelism; it is
-applied to the numeric backend's thread knobs before arrays are imported, so
-it must be set before the process starts (as an environment variable, not
-from code).
 """
-
-import os
-import sys
-
-_threads = os.environ.get("TELEGRAPH_THREADS")
-if _threads is not None and _threads.isdigit() and int(_threads) >= 1:
-    for _var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS",
-                 "NUMEXPR_NUM_THREADS", "VECLIB_MAXIMUM_THREADS"):
-        os.environ.setdefault(_var, _threads)
 
 import argparse
 import json
 import math
+import os
+import sys
 from dataclasses import dataclass, field
 from typing import Optional
 
@@ -31,8 +19,7 @@ import numpy as np
 
 from .errors import DomainError, UsageError
 from .fields import SampledField, SpaceGrid, from_function, zeros
-from .kernel import MediumParams, fundamental_solution, time_derivative_parts, \
-    time_derivative_regular
+from .kernel import MediumParams, fundamental_solution, time_derivative_regular
 from .oracles import (DuhamelConfig, ValidationReport, binned_tv_distance,
                       duhamel_residual, expected_never_flip, fd_config_for,
                       fd_solve, rel_l2_error, simulate_walk, walk_config_for)
@@ -219,14 +206,14 @@ def cmd_kernel(cfg: RunConfig) -> tuple[dict, list[str], bool]:
     medium = cfg.medium()
     grid = cfg.grid()
     t = cfg.values["t"]
-    atoms, _ = time_derivative_parts(t, medium)
+    ct = medium.c * t
     x = grid.points()
     psi_vals = np.atleast_1d(fundamental_solution(x, t, medium))
     dt_vals = np.atleast_1d(time_derivative_regular(x, t, medium))
     if not (np.all(np.isfinite(psi_vals)) and np.all(np.isfinite(dt_vals))):
         raise DomainError("kernel values exceed the float64 range; lower k*|t|")
-    atom_list = [{"x": float(p), "w": float(w)}
-                 for p, w in zip(atoms.positions, atoms.weights)]
+    # the time derivative's two Dirac atoms ride the cone edges
+    atom_list = [{"x": -ct, "w": 0.5}, {"x": ct, "w": 0.5}]
     payload = {
         "command": "kernel",
         "config": _config_echo(cfg),
@@ -387,11 +374,6 @@ def cmd_validate(cfg: RunConfig) -> tuple[dict, list[str], bool]:
 
 
 def main(argv=None) -> int:
-    threads = os.environ.get("TELEGRAPH_THREADS")
-    if threads is not None and (not threads.isdigit() or int(threads) < 1):
-        print(f"error: TELEGRAPH_THREADS must be a positive integer, "
-              f"got {threads!r}", file=sys.stderr)
-        return 2
     parser = build_parser()
     args = parser.parse_args(argv)
     try:

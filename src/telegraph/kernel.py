@@ -9,15 +9,14 @@ transformed problem is supported on the closed light cone |x| <= c|t|:
 
 odd in t, even in x, equal to sgn(t)/(2c) on the characteristics.  Its
 time derivative splits into two Dirac atoms of weight 1/2 riding the
-cone boundary plus a bounded density inside; this module evaluates both
-pieces for all real times.
+cone boundary (at x = -ct and x = +ct) plus a bounded density inside;
+this module evaluates the kernel and that density for all real times.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Callable
 
 import numpy as np
 
@@ -46,28 +45,6 @@ class MediumParams:
         object.__setattr__(self, "alpha", self.k / (4.0 * self.c))
 
 
-@dataclass(frozen=True)
-class ConeCoordinates:
-    """Light-cone classification of a space-time point.
-
-    ``lam`` is c^2 t^2 - x^2; ``inside``/``on_boundary`` use the relative
-    tolerance CONE_EPS against c^2 t^2 + x^2 so points placed on the
-    characteristics by inexact float arithmetic still classify correctly.
-    """
-
-    lam: float
-    on_boundary: bool
-    inside: bool
-
-
-@dataclass(frozen=True)
-class KernelAtoms:
-    """The two Dirac atoms of the kernel's time derivative (weights 1/2 each)."""
-
-    positions: tuple[float, float]
-    weights: tuple[float, float]
-
-
 def _check_point(x: float, t: float) -> None:
     if not (math.isfinite(t)):
         raise DomainError(f"time must be finite, got {t!r}")
@@ -75,28 +52,13 @@ def _check_point(x: float, t: float) -> None:
         raise DomainError("positions must be finite")
 
 
-def classify_cone(x: float, t: float, medium: MediumParams) -> ConeCoordinates:
-    _check_point(x, t)
-    lam = (medium.c * t) ** 2 - x * x
-    r = abs(float(x))
-    big = max(r, medium.c * abs(t))
-    if big == 0.0:
-        return ConeCoordinates(lam=0.0, on_boundary=True, inside=False)
-    # classify on magnitudes normalized by the larger one, so the relative
-    # tolerance survives even where the raw squares would underflow
-    rn = r / big
-    cn = medium.c * abs(t) / big
-    lam_n = cn * cn - rn * rn
-    on_boundary = abs(lam_n) <= CONE_EPS * (cn * cn + rn * rn)
-    return ConeCoordinates(lam=lam, on_boundary=on_boundary,
-                           inside=(lam_n > 0) and not on_boundary)
-
-
 def _masks(x: np.ndarray, t: float, c: float):
     radius = c * abs(t)
     lam = radius * radius - x * x
     r = np.abs(x)
     big = np.maximum(r, radius)
+    # classify on magnitudes normalized by the larger one, so the relative
+    # tolerance survives even where the raw squares would underflow
     safe = np.where(big > 0.0, big, 1.0)
     rn = r / safe
     cn = radius / safe
@@ -146,22 +108,3 @@ def time_derivative_regular(x, t: float, medium: MediumParams):
         out[supported] = amp * bessel.i1_over_z_array(arg)
     return float(out[0]) if scalar else out
 
-
-def time_derivative_parts(
-        t: float, medium: MediumParams,
-) -> tuple[KernelAtoms, Callable[[np.ndarray], np.ndarray]]:
-    """Atoms-plus-density decomposition of the kernel's time derivative.
-
-    Atom positions are (-ct, +ct) with weight 1/2 each; at t = 0 the atoms
-    coincide at the origin and their combined unit mass is the Dirac delta
-    the kernel launches from.  The returned callable evaluates the density.
-    """
-    if not math.isfinite(t):
-        raise DomainError(f"time must be finite, got {t!r}")
-    ct = medium.c * t
-    atoms = KernelAtoms(positions=(-ct, ct), weights=(0.5, 0.5))
-
-    def density(x):
-        return time_derivative_regular(x, t, medium)
-
-    return atoms, density

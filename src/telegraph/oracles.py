@@ -22,7 +22,8 @@ import numpy as np
 from .errors import UsageError
 from .fields import MixedMeasure, SampledField, SpaceGrid, _window_sum, sample_shifted
 from .kernel import MediumParams
-from .quadrature import integrate_bins, panel_count, simpson_pattern
+from .quadrature import (integrate_bins, panel_count, simpson_nodes_weights,
+                         simpson_pattern)
 from .solver import solve_rescaled
 
 FIRST_STEPS = ("up", "down", "symmetric")
@@ -317,9 +318,7 @@ def duhamel_residual(f: SampledField, g: SampledField, t: float,
         if radius <= 0:
             return np.zeros(grid.n)
         n_sub = panel_count(2 * radius, grid.dx, cfg.min_panels, cfg.panel_factor)
-        h = 2.0 * radius / n_sub
-        weights = simpson_pattern(n_sub) * (h / 3.0)
-        return _window_sum(fld, -radius + h * np.arange(n_sub + 1), weights)
+        return _window_sum(fld, *simpson_nodes_weights(-radius, radius, n_sub))
 
     def v_at(s: float) -> SampledField:
         if cache is not None:

@@ -40,7 +40,7 @@ from .errors import DomainError, UsageError
 from .fields import (MixedMeasure, SampledField, SpaceGrid, _window_sum, sample_at,
                      sample_shifted)
 from .kernel import CONE_EPS, MediumParams, fundamental_solution, time_derivative_regular
-from .quadrature import panel_count, simpson_pattern
+from .quadrature import panel_count, simpson_nodes_weights
 
 DELTA_KINDS = ("delta_position", "delta_velocity", "financial")
 
@@ -82,11 +82,8 @@ def _rescaled_values(f: SampledField, g: SampledField, t: float,
     radius = c * abs(t)
     geff = SampledField(grid, g.values + 0.5 * medium.k * f.values)
     n_sub = n_panels if n_panels is not None else panel_count(2.0 * radius, grid.dx)
-    h = 2.0 * radius / n_sub
-    offsets = -radius + h * np.arange(n_sub + 1)
-    offsets[-1] = radius
+    offsets, weights = simpson_nodes_weights(-radius, radius, n_sub)
     ft_w, f0_w = _cone_kernel_weights(t, medium, offsets)
-    weights = simpson_pattern(n_sub) * (h / 3.0)
 
     out = 0.5 * (sample_shifted(f, radius) + sample_shifted(f, -radius))
     out += _window_sum(f, offsets, weights * ft_w)
@@ -277,11 +274,8 @@ def convolve_measure(m: MixedMeasure, t: float, medium: MediumParams, which: str
     if m.density is not None and radius > 0.0:
         d = m.density
         n_sub = n_panels if n_panels is not None else panel_count(2 * radius, d.grid.dx)
-        h = 2.0 * radius / n_sub
-        offsets = -radius + h * np.arange(n_sub + 1)
-        offsets[-1] = radius
+        offsets, weights = simpson_nodes_weights(-radius, radius, n_sub)
         ft_w, f0_w = _cone_kernel_weights(t, medium, offsets)
-        weights = simpson_pattern(n_sub) * (h / 3.0)
         kern = ft_w if which == "kernel_dt" else f0_w
         dens += _window_sum(d, offsets, weights * kern, out_grid)
         if which == "kernel_dt":

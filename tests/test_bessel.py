@@ -6,8 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import telegraph as tg
-from telegraph.bessel import (SERIES_SWITCH, _asymptotic, _i0_series,
-                              _i1_over_z_series, _i1_series)
+from telegraph.bessel import SERIES_SWITCH, _asymptotic_eval, _series_eval
 
 from _series_oracle import i0_series_reference, i1_series_reference
 
@@ -103,17 +102,17 @@ class TestOdeResidual:
 class TestRegimeConsistency:
     def test_switch_point_agreement(self):
         for z in (SERIES_SWITCH - 0.5, SERIES_SWITCH, SERIES_SWITCH + 0.5):
-            s_val, s_bound = _i0_series(z)
-            a_val, a_bound = _asymptotic(z, 0)
-            assert abs(s_val - a_val) <= s_bound + a_bound
-            s_val, s_bound = _i1_series(z)
-            a_val, a_bound = _asymptotic(z, 1)
-            assert abs(s_val - a_val) <= s_bound + a_bound
+            for order in (0, 1):
+                series = _series_eval(z, order)
+                asym = _asymptotic_eval(z, order)
+                assert (abs(series.value - asym.value)
+                        <= series.abs_error_bound + asym.abs_error_bound)
 
     def test_ratio_series_matches_division(self):
         # the dedicated even series and the explicit quotient agree away from 0
         for z in (1e-4, 1e-3, 0.1, 3.0, 14.0):
-            assert abs(_i1_over_z_series(z)[0] - tg.i1(z) / z) < 1e-14 * max(1.0, tg.i1(z) / z)
+            ratio = _series_eval(z, 1, over_z=True).value
+            assert abs(ratio - tg.i1(z) / z) < 1e-14 * max(1.0, tg.i1(z) / z)
 
 
 class TestProperties:

@@ -1,8 +1,5 @@
 import json
 import math
-import os
-import subprocess
-import sys
 from importlib import resources
 
 import jsonschema
@@ -235,22 +232,3 @@ class TestConfigHandling:
             main(["delta", "--kind", "not-a-kind"])
         assert exc.value.code == 2
 
-
-class TestEnvironment:
-    def test_thread_cap_env_smoke(self, tmp_path):
-        out = tmp_path / "k.csv"
-        env = dict(os.environ, TELEGRAPH_THREADS="1")
-        proc = subprocess.run(
-            [sys.executable, "-m", "telegraph.cli", "kernel", "--k", "1",
-             "--c", "1", "--t", "1", "--out", str(out)],
-            env=env, capture_output=True, text=True)
-        assert proc.returncode == 0
-        assert out.exists()
-
-    def test_invalid_thread_cap_exits_2(self):
-        env = dict(os.environ, TELEGRAPH_THREADS="many")
-        proc = subprocess.run(
-            [sys.executable, "-m", "telegraph.cli", "kernel"],
-            env=env, capture_output=True, text=True)
-        assert proc.returncode == 2
-        assert "TELEGRAPH_THREADS" in proc.stderr

@@ -6,6 +6,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 import telegraph as tg
+from telegraph.cli import main
 from telegraph.quadrature import composite_simpson
 
 from _series_oracle import i0_series_reference
@@ -24,20 +25,22 @@ class TestMediumParams:
 
 
 class TestConeClassification:
+    # medium: k = 1, c = 1, so the kernel is 1/(2c) = 0.5 on the cone edge and
+    # its time-derivative density there is alpha^2 c |t| = 0.0625 at t = 1
     def test_inside(self, medium):
-        cone = tg.classify_cone(0.2, 1.0, medium)
-        assert cone.inside and not cone.on_boundary and cone.lam > 0
+        assert tg.fundamental_solution(0.2, 1.0, medium) > 0.5
 
     def test_outside(self, medium):
-        cone = tg.classify_cone(2.0, 1.0, medium)
-        assert not cone.inside and not cone.on_boundary and cone.lam < 0
+        assert tg.fundamental_solution(2.0, 1.0, medium) == 0.0
+        assert tg.time_derivative_regular(2.0, 1.0, medium) == 0.0
 
     def test_boundary_with_roundoff(self, medium):
-        cone = tg.classify_cone(1.0 * (1.0 + 1e-15), 1.0, medium)
-        assert cone.on_boundary and not cone.inside
+        x = 1.0 * (1.0 + 1e-15)  # just outside in exact arithmetic
+        assert tg.fundamental_solution(x, 1.0, medium) == 0.5
+        assert tg.time_derivative_regular(x, 1.0, medium) == 0.0625
 
     def test_origin(self, medium):
-        assert tg.classify_cone(0.0, 0.0, medium).on_boundary
+        assert tg.fundamental_solution(0.0, 0.0, medium) == 0.0
 
 
 class TestKernelValues:
@@ -94,28 +97,36 @@ class TestTimeDerivativeRegular:
         assert tg.time_derivative_regular(0.0, 0.0, medium) == 0.0
 
 
+def kernel_cli(capsys, *args):
+    """Atom header lines and numeric table of the CLI ``kernel`` command."""
+    assert main(["kernel", *args]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    atoms = [ln for ln in lines if ln.startswith("# atom,")]
+    rows = np.array([[float(v) for v in ln.split(",")]
+                     for ln in lines if not ln.startswith(("#", "x,"))])
+    return atoms, rows
+
+
 class TestDecomposition:
-    def test_t0_atoms_coincide_with_unit_mass(self, medium):
-        atoms, _ = tg.time_derivative_parts(0.0, medium)
-        assert atoms.positions == (0.0, 0.0)
-        assert atoms.weights == (0.5, 0.5)
+    # the kernel's time derivative is two atoms of weight 1/2 at -ct and +ct
+    # plus the time_derivative_regular density; the kernel command writes both
+    def test_t0_atoms_coincide_with_unit_mass(self, capsys):
+        atoms, _ = kernel_cli(capsys, "--k", "1", "--c", "1", "--t", "0")
+        assert atoms == ["# atom,-0,0.5", "# atom,0,0.5"]
 
-    def test_atom_positions(self):
-        m = tg.MediumParams(k=1.0, c=2.0)
-        atoms, _ = tg.time_derivative_parts(1.0, m)
-        assert atoms.positions == (-2.0, 2.0)
-        assert atoms.weights == (0.5, 0.5)
+    def test_atom_positions(self, capsys):
+        atoms, _ = kernel_cli(capsys, "--k", "1", "--c", "2", "--t", "1")
+        assert atoms == ["# atom,-2,0.5", "# atom,2,0.5"]
 
-    def test_negative_time_swaps_positions(self):
-        m = tg.MediumParams(k=1.0, c=2.0)
-        atoms, _ = tg.time_derivative_parts(-1.0, m)
-        assert atoms.positions == (2.0, -2.0)
+    def test_negative_time_swaps_positions(self, capsys):
+        atoms, _ = kernel_cli(capsys, "--k", "1", "--c", "2", "--t", "-1")
+        assert atoms == ["# atom,2,0.5", "# atom,-2,0.5"]
 
-    def test_regular_evaluator_delegates(self, medium):
-        _, density = tg.time_derivative_parts(1.0, medium)
-        xs = np.array([0.0, 0.5, 2.0])
-        assert np.array_equal(density(xs),
-                              tg.time_derivative_regular(xs, 1.0, medium))
+    def test_regular_evaluator_delegates(self, capsys, medium):
+        _, rows = kernel_cli(capsys, "--k", "1", "--c", "1", "--t", "1",
+                             "--xmin", "-2", "--xmax", "2", "--n", "9")
+        assert np.array_equal(rows[:, 2],
+                              tg.time_derivative_regular(rows[:, 0], 1.0, medium))
 
 
 coords = st.floats(min_value=-3.0, max_value=3.0,
