@@ -50,6 +50,8 @@ class RunConfig:
         n = self.values["n"]
         if xmax <= xmin:
             raise UsageError(f"xmax ({xmax}) must exceed xmin ({xmin})")
+        if n < 2:
+            raise UsageError(f"grid needs at least 2 points, got n = {n}")
         return SpaceGrid(x0=xmin, dx=(xmax - xmin) / (n - 1), n=n)
 
 
@@ -151,9 +153,8 @@ def merge_config(args: argparse.Namespace) -> RunConfig:
 
 
 def _config_echo(cfg: RunConfig) -> dict:
-    echo = {key: val for key, val in cfg.values.items()
+    return {key: val for key, val in cfg.values.items()
             if key not in ("out", "config") and val is not None}
-    return echo
 
 
 def _gaussian_data(cfg: RunConfig, grid: SpaceGrid) -> tuple[SampledField, SampledField]:
@@ -282,12 +283,18 @@ def cmd_delta(cfg: RunConfig) -> tuple[dict, list[str], bool]:
     return payload, csv_lines, True
 
 
+def _suite_grid(half: float, dx: float) -> SpaceGrid:
+    """Grid on [-half, half] with spacing dx, the half-width rounded to whole cells."""
+    if not (math.isfinite(dx) and dx > 0 and math.isfinite(half)):
+        raise UsageError(f"suite grid needs a positive finite dx and a finite "
+                         f"half-width, got dx = {dx}, half-width = {half}")
+    return SpaceGrid(-half, dx, int(round(2 * half / dx)) + 1)
+
+
 def _suite_fd(cfg: RunConfig) -> list[ValidationReport]:
     medium = cfg.medium()
     t = cfg.values["t"]
-    dx = cfg.values["dx"]
-    half = 8.0
-    grid = SpaceGrid(-half, dx, int(round(2 * half / dx)) + 1)
+    grid = _suite_grid(8.0, cfg.values["dx"])
     f = from_function(grid, lambda x: np.exp(-x * x))
     g = zeros(grid)
     reference = solve(f, g, t, medium)
@@ -321,9 +328,7 @@ def _suite_walk(cfg: RunConfig) -> list[ValidationReport]:
 def _suite_duhamel(cfg: RunConfig) -> list[ValidationReport]:
     medium = cfg.medium()
     t = cfg.values["t"]
-    dx = max(cfg.values["dx"], 1.0 / 256)
-    half = max(6.0, 2 * medium.c * t + 4.0)
-    grid = SpaceGrid(-half, dx, int(round(2 * half / dx)) + 1)
+    grid = _suite_grid(max(6.0, 2 * medium.c * t + 4.0), max(cfg.values["dx"], 1.0 / 256))
     f = from_function(grid, lambda x: np.exp(-x * x))
     g = zeros(grid)
     residual = duhamel_residual(f, g, t, medium,
@@ -335,9 +340,8 @@ def _suite_duhamel(cfg: RunConfig) -> list[ValidationReport]:
 def _suite_semigroup(cfg: RunConfig) -> list[ValidationReport]:
     medium = cfg.medium()
     t = cfg.values["t"]
-    dx = max(cfg.values["dx"], 1.0 / 256)
     half = 8.0
-    grid = SpaceGrid(-half, dx, int(round(2 * half / dx)) + 1)
+    grid = _suite_grid(half, max(cfg.values["dx"], 1.0 / 256))
     f = from_function(grid, lambda x: np.exp(-x * x))
     state = StatePair(f, zeros(grid))
     whole = evolve(2 * t, state, medium)

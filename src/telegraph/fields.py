@@ -82,8 +82,8 @@ def zeros(grid: SpaceGrid) -> SampledField:
 _FOLD_BLOCK = 1024
 
 
-def _cubic_weights(r: float) -> tuple[float, float, float, float]:
-    # Lagrange basis on stencil offsets (-1, 0, 1, 2) evaluated at r in [0, 1)
+def _cubic_weights(r):
+    # Lagrange basis on stencil offsets (-1, 0, 1, 2) at r in [0, 1], float or array
     rm1 = r - 1.0
     rm2 = r - 2.0
     rp1 = r + 1.0
@@ -135,13 +135,9 @@ def sample_at(f: SampledField, xq) -> np.ndarray:
     r = pos - idx
     padded = np.zeros(g.n + 6)
     padded[3:3 + g.n] = f.values
-    rm1 = r - 1.0
-    rm2 = r - 2.0
-    rp1 = r + 1.0
-    out = ((-r * rm1 * rm2 / 6.0) * padded[idx + 2]
-           + (rp1 * rm1 * rm2 / 2.0) * padded[idx + 3]
-           + (-r * rp1 * rm2 / 2.0) * padded[idx + 4]
-           + (r * rp1 * rm1 / 6.0) * padded[idx + 5])
+    l0, l1, l2, l3 = _cubic_weights(r)
+    out = (l0 * padded[idx + 2] + l1 * padded[idx + 3]
+           + l2 * padded[idx + 4] + l3 * padded[idx + 5])
     return np.where(valid, out, 0.0)
 
 
@@ -168,7 +164,12 @@ def _window_sum(f: SampledField, offsets: np.ndarray, weights: np.ndarray,
     n = g.n
     out = g if out_grid is None else out_grid
     w = np.asarray(weights, dtype=float)
-    r = ((out.x0 - g.x0) - np.asarray(offsets, dtype=float)) / g.dx
+    # an out_grid from ``SpaceGrid.extended`` lies a whole number of cells off
+    # g; keep it whole, or roundoff in x0 can put g's own end points off g
+    shift = (out.x0 - g.x0) / g.dx
+    if abs(shift - round(shift)) * g.dx <= 1e-15 * (abs(out.x0) + abs(g.x0)):
+        shift = float(round(shift))
+    r = shift - np.asarray(offsets, dtype=float) / g.dx
     s = np.floor(r)
     # whether row n-1-s_j samples past the right end, rounded as sample_shifted does
     past_end = ((n - 1) - r) < ((n - 1) - s)

@@ -59,8 +59,8 @@ class FDConfig:
 def fd_config_for(t_final: float, grid: SpaceGrid, medium: MediumParams,
                   courant: float = 0.9) -> FDConfig:
     """Largest step count reaching t_final with courant at most the target."""
-    if t_final <= 0:
-        raise UsageError(f"t_final must be positive, got {t_final}")
+    if not (math.isfinite(t_final) and t_final > 0):
+        raise UsageError(f"t_final must be positive and finite, got {t_final}")
     if not 0 < courant <= 1:
         raise UsageError(f"target courant must lie in (0, 1], got {courant}")
     dt_target = courant * grid.dx / medium.c
@@ -140,12 +140,14 @@ class WalkConfig:
             raise UsageError("need at least one step and one walker")
         if self.first_step not in FIRST_STEPS:
             raise UsageError(f"first_step must be one of {FIRST_STEPS}")
+        if self.seed < 0:
+            raise UsageError(f"seed must be nonnegative, got {self.seed}")
 
 
 def walk_params(medium: MediumParams, dt: float) -> tuple[float, float]:
     """Continuum-matched (p, dx): p = 1 - k dt/2, dx = c dt."""
-    if dt <= 0:
-        raise UsageError(f"dt must be positive, got {dt}")
+    if not (math.isfinite(dt) and dt > 0):
+        raise UsageError(f"dt must be positive and finite, got {dt}")
     if medium.k * dt > 2.0:
         raise UsageError(
             f"k*dt = {medium.k * dt} > 2 puts the repeat probability below 0")
@@ -156,7 +158,7 @@ def walk_config_for(medium: MediumParams, dt: float, t_final: float,
                     n_walkers: int, seed: int,
                     first_step: str = "symmetric") -> WalkConfig:
     p, dx = walk_params(medium, dt)
-    n_steps = round(t_final / dt)
+    n_steps = round(t_final / dt) if math.isfinite(t_final) else 0
     if abs(n_steps * dt - t_final) > 1e-9 * max(1.0, t_final) or n_steps < 1:
         raise UsageError(f"t_final = {t_final} is not a positive multiple of dt = {dt}")
     return WalkConfig(p=p, dx=dx, dt=dt, n_steps=n_steps,
@@ -168,14 +170,15 @@ def expected_never_flip(cfg: WalkConfig) -> float:
     return cfg.p ** (cfg.n_steps - 1)
 
 
-def simulate_walk(cfg: WalkConfig, block_size: int = WALK_BLOCK) -> MixedMeasure:
+def simulate_walk(cfg: WalkConfig) -> MixedMeasure:
     """Empirical law of the walk after n_steps, as a mixed measure.
 
     Flipped walkers populate a histogram over the parity-matched lattice
     sites (bin width 2 dx); never-flipped walkers are tallied separately
     as atom masses at -+ n dx.  Deterministic for a fixed seed: block b
-    always covers walkers [b*block_size, (b+1)*block_size) from stream
-    Philox(SeedSequence(seed, spawn_key=(b,))).
+    always covers walkers [b*WALK_BLOCK, (b+1)*WALK_BLOCK) from stream
+    Philox(SeedSequence(seed, spawn_key=(b,))).  WALK_BLOCK is part of
+    this seed contract: another block size gives another sample.
     """
     n = cfg.n_steps
     total = cfg.n_walkers
@@ -186,7 +189,7 @@ def simulate_walk(cfg: WalkConfig, block_size: int = WALK_BLOCK) -> MixedMeasure
     done = 0
     block = 0
     while done < total:
-        w = min(block_size, total - done)
+        w = min(WALK_BLOCK, total - done)
         ss = np.random.SeedSequence(entropy=cfg.seed, spawn_key=(block,))
         rng = np.random.Generator(np.random.Philox(seed=ss))
         if cfg.first_step == "up":
@@ -227,8 +230,7 @@ def simulate_walk(cfg: WalkConfig, block_size: int = WALK_BLOCK) -> MixedMeasure
     )
 
 
-def binned_tv_distance(estimate: MixedMeasure, reference: MixedMeasure,
-                       panels_per_bin: int = 8) -> float:
+def binned_tv_distance(estimate: MixedMeasure, reference: MixedMeasure) -> float:
     """Total-variation distance on the estimate's lattice bins.
 
     Bins are the histogram sites (width = lattice grid spacing); the
@@ -251,7 +253,7 @@ def binned_tv_distance(estimate: MixedMeasure, reference: MixedMeasure,
 
     lo = np.clip(edges[:-1], reference.support[0], reference.support[1])
     hi = np.clip(edges[1:], reference.support[0], reference.support[1])
-    qdens = integrate_bins(reference.density_fn, lo, hi, panels_per_bin)
+    qdens = integrate_bins(reference.density_fn, lo, hi)
     q = qdens.copy()
     for pos, wgt in reference.atoms:
         q[_bin_index(edges, pos)] += wgt
@@ -275,8 +277,6 @@ class DuhamelConfig:
     """Nested-quadrature resolution for the fixed-point residual."""
 
     n_slabs: int = 32
-    min_panels: int = 64
-    panel_factor: int = 4
 
     def __post_init__(self):
         if self.n_slabs < 2 or self.n_slabs % 2:
@@ -317,8 +317,8 @@ def duhamel_residual(f: SampledField, g: SampledField, t: float,
         """int_{x-radius}^{x+radius} fld(y) dy at every grid point."""
         if radius <= 0:
             return np.zeros(grid.n)
-        n_sub = panel_count(2 * radius, grid.dx, cfg.min_panels, cfg.panel_factor)
-        return _window_sum(fld, *simpson_nodes_weights(-radius, radius, n_sub))
+        return _window_sum(fld, *simpson_nodes_weights(-radius, radius,
+                                                       panel_count(2 * radius, grid.dx)))
 
     def v_at(s: float) -> SampledField:
         if cache is not None:

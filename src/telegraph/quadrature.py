@@ -13,19 +13,19 @@ import numpy as np
 
 from .errors import UsageError
 
-#: Default floor on the number of Simpson subintervals per window.
+# Simpson subintervals: at least MIN_PANELS per window and PANEL_FACTOR per
+# grid spacing of window (``panel_count``); PANELS_PER_BIN per bin in
+# ``integrate_bins``.
 MIN_PANELS = 64
-
-#: Default subintervals per grid spacing of integration window.
 PANEL_FACTOR = 4
+PANELS_PER_BIN = 8
 
 
-def panel_count(window: float, dx: float, minimum: int = MIN_PANELS,
-                factor: int = PANEL_FACTOR) -> int:
-    """Even subinterval count for a window: max(minimum, factor*window/dx)."""
+def panel_count(window: float, dx: float) -> int:
+    """Even subinterval count for a window: max(MIN_PANELS, PANEL_FACTOR*window/dx)."""
     if window < 0 or dx <= 0:
         raise UsageError("window must be >= 0 and dx > 0")
-    n = max(int(minimum), int(math.ceil(factor * window / dx)))
+    n = max(MIN_PANELS, int(math.ceil(PANEL_FACTOR * window / dx)))
     return n + (n % 2)
 
 
@@ -59,9 +59,8 @@ def composite_simpson(fn, a: float, b: float, n_sub: int) -> float:
     return float(np.sum(weights * np.asarray(fn(nodes), dtype=float)))
 
 
-def integrate_bins(fn, lower: np.ndarray, upper: np.ndarray,
-                   panels_per_bin: int = 8) -> np.ndarray:
-    """Per-bin Simpson integrals of a vectorized callable.
+def integrate_bins(fn, lower: np.ndarray, upper: np.ndarray) -> np.ndarray:
+    """Per-bin Simpson integrals of a vectorized callable, PANELS_PER_BIN panels each.
 
     Bins with upper <= lower integrate to zero.  One callable invocation
     covers every node of every bin.
@@ -69,8 +68,8 @@ def integrate_bins(fn, lower: np.ndarray, upper: np.ndarray,
     lower = np.asarray(lower, dtype=float)
     upper = np.asarray(upper, dtype=float)
     width = np.maximum(upper - lower, 0.0)
-    pattern = simpson_pattern(panels_per_bin)
-    rel = np.arange(panels_per_bin + 1) / panels_per_bin
+    pattern = simpson_pattern(PANELS_PER_BIN)
+    rel = np.arange(PANELS_PER_BIN + 1) / PANELS_PER_BIN
     nodes = lower[:, None] + width[:, None] * rel[None, :]
     values = np.asarray(fn(nodes.ravel()), dtype=float).reshape(nodes.shape)
-    return np.sum(values * pattern, axis=1) * (width / (3.0 * panels_per_bin))
+    return np.sum(values * pattern, axis=1) * (width / (3.0 * PANELS_PER_BIN))

@@ -29,13 +29,12 @@ class StatePair:
             raise UsageError("state components must share one grid")
 
 
-def evolve(t: float, state: StatePair, medium: MediumParams,
-           dt_probe: float = 1e-3) -> StatePair:
+def evolve(t: float, state: StatePair, medium: MediumParams) -> StatePair:
     """Propagate a state forward by t >= 0 (one-sided semigroup)."""
     if t < 0:
         raise UsageError(f"the evolution operator is one-sided; got t = {t}")
     u = solve(state.u, state.ut, t, medium)
-    ut = velocity(state.u, state.ut, t, medium, dt_probe)
+    ut = velocity(state.u, state.ut, t, medium)
     return StatePair(u, ut)
 
 
@@ -48,8 +47,7 @@ class NormRow:
     envelope: float
 
 
-def norm_report(state0: StatePair, medium: MediumParams, times,
-                dt_probe: float = 1e-3) -> list[NormRow]:
+def norm_report(state0: StatePair, medium: MediumParams, times) -> list[NormRow]:
     """Discrete L2 norms of u, u_t, u_x at each time, plus e^{-kt/2}.
 
     Times must be nonnegative and ascending.  Norms use the trapezoid
@@ -65,7 +63,7 @@ def norm_report(state0: StatePair, medium: MediumParams, times,
         raise UsageError("times must be nonnegative and ascending")
     rows = []
     for t in times:
-        state = state0 if t == 0.0 else evolve(t, state0, medium, dt_probe)
+        state = state0 if t == 0.0 else evolve(t, state0, medium)
         rows.append(NormRow(
             t=t,
             u_l2=l2_norm(state.u),

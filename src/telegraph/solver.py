@@ -31,18 +31,20 @@ density as a MixedMeasure.
 from __future__ import annotations
 
 import math
-from typing import Callable, Optional
+from typing import Optional
 
 import numpy as np
 
 from . import bessel
 from .errors import DomainError, UsageError
-from .fields import (MixedMeasure, SampledField, SpaceGrid, _window_sum, sample_at,
-                     sample_shifted)
+from .fields import MixedMeasure, SampledField, SpaceGrid, _window_sum, sample_shifted
 from .kernel import CONE_EPS, MediumParams, fundamental_solution, time_derivative_regular
 from .quadrature import panel_count, simpson_nodes_weights
 
 DELTA_KINDS = ("delta_position", "delta_velocity", "financial")
+
+#: Time step of ``velocity``'s coarse central-difference probes; fine ones use half.
+DT_PROBE = 1e-3
 
 
 def _require_shared_grid(f: SampledField, g: SampledField) -> SpaceGrid:
@@ -74,14 +76,12 @@ def _cone_kernel_weights(t: float, medium: MediumParams, offsets: np.ndarray):
 
 
 def _rescaled_values(f: SampledField, g: SampledField, t: float,
-                     medium: MediumParams, n_panels: Optional[int]) -> np.ndarray:
+                     medium: MediumParams, n_sub: int) -> np.ndarray:
     grid = f.grid
     if t == 0.0:
         return f.values.copy()
-    c = medium.c
-    radius = c * abs(t)
+    radius = medium.c * abs(t)
     geff = SampledField(grid, g.values + 0.5 * medium.k * f.values)
-    n_sub = n_panels if n_panels is not None else panel_count(2.0 * radius, grid.dx)
     offsets, weights = simpson_nodes_weights(-radius, radius, n_sub)
     ft_w, f0_w = _cone_kernel_weights(t, medium, offsets)
 
@@ -92,7 +92,7 @@ def _rescaled_values(f: SampledField, g: SampledField, t: float,
 
 
 def solve_rescaled(f: SampledField, g: SampledField, t: float, medium: MediumParams,
-                   *, n_panels: Optional[int] = None, error_estimate: bool = False):
+                   *, error_estimate: bool = False):
     """Growth-compensated solution e^{kt/2} u(., t); valid for t of either sign.
 
     With error_estimate=True also returns a max-abs Richardson estimate of
@@ -101,49 +101,46 @@ def solve_rescaled(f: SampledField, g: SampledField, t: float, medium: MediumPar
     """
     grid = _require_shared_grid(f, g)
     t = _check_time(t)
-    vals = _rescaled_values(f, g, t, medium, n_panels)
+    n_sub = panel_count(2.0 * medium.c * abs(t), grid.dx)
+    vals = _rescaled_values(f, g, t, medium, n_sub)
     result = SampledField(grid, vals)
     if not error_estimate:
         return result
     if t == 0.0:
         return result, 0.0
-    n_sub = n_panels if n_panels is not None else panel_count(2 * medium.c * abs(t), grid.dx)
     coarse = _rescaled_values(f, g, t, medium, max(2, n_sub // 2 + (n_sub // 2) % 2))
     return result, float(np.max(np.abs(vals - coarse)) / 15.0)
 
 
 def solve(f: SampledField, g: SampledField, t: float, medium: MediumParams,
-          *, n_panels: Optional[int] = None, error_estimate: bool = False):
+          *, error_estimate: bool = False):
     """Solution u(., t) of u_tt + k u_t = c^2 u_xx with data (f, g)."""
     t = _check_time(t)
     damp = math.exp(-0.5 * medium.k * t)
     if error_estimate:
-        v, err = solve_rescaled(f, g, t, medium, n_panels=n_panels, error_estimate=True)
+        v, err = solve_rescaled(f, g, t, medium, error_estimate=True)
         return SampledField(v.grid, damp * v.values), damp * err
-    v = solve_rescaled(f, g, t, medium, n_panels=n_panels)
+    v = solve_rescaled(f, g, t, medium)
     return SampledField(v.grid, damp * v.values)
 
 
 def velocity(f: SampledField, g: SampledField, t: float, medium: MediumParams,
-             dt_probe: float = 1e-3, *, n_panels: Optional[int] = None,
-             error_estimate: bool = False):
+             *, error_estimate: bool = False):
     """u_t(., t) by Richardson-extrapolated central differencing of ``solve``.
 
-    dt_probe must be positive and small against both 1/k and dx/c; the
-    difference of the two probe resolutions provides the error estimate.
+    The probe steps DT_PROBE and DT_PROBE/2 must stay small against 1/k and
+    dx/c; the difference of the two probe resolutions gives the error estimate.
     """
     grid = _require_shared_grid(f, g)
     t = _check_time(t)
-    if dt_probe <= 0:
-        raise UsageError(f"dt_probe must be positive, got {dt_probe}")
 
     def central(h: float) -> np.ndarray:
-        up = solve(f, g, t + h, medium, n_panels=n_panels).values
-        dn = solve(f, g, t - h, medium, n_panels=n_panels).values
+        up = solve(f, g, t + h, medium).values
+        dn = solve(f, g, t - h, medium).values
         return (up - dn) / (2.0 * h)
 
-    coarse = central(dt_probe)
-    fine = central(0.5 * dt_probe)
+    coarse = central(DT_PROBE)
+    fine = central(0.5 * DT_PROBE)
     vals = (4.0 * fine - coarse) / 3.0
     result = SampledField(grid, vals)
     if error_estimate:
@@ -223,17 +220,16 @@ def point_source_solution(kind: str, t: float, medium: MediumParams,
 
 
 def convolve_measure(m: MixedMeasure, t: float, medium: MediumParams, which: str,
-                     out_grid: Optional[SpaceGrid] = None,
-                     *, n_panels: Optional[int] = None) -> MixedMeasure:
+                     out_grid: Optional[SpaceGrid] = None) -> MixedMeasure:
     """Convolve a mixed measure with the kernel or its time derivative.
 
     which = "kernel":     atoms translate the kernel into density pieces;
                           the density convolves by quadrature.
     which = "kernel_dt":  atoms spawn translated atom pairs (weight w/2 at
                           a -+ ct) plus translated copies of the regular
-                          density; the density picks up both the averaged
-                          translates and the quadrature convolution with
-                          the regular part.
+                          density; the density convolves with the regular
+                          part and the two edge atoms in one quadrature,
+                          the atoms riding its end nodes at -+ c|t|.
 
     These are the raw (growth-compensated) kernels: no e^{-kt/2} factor is
     applied and the result is not a probability measure in general.
@@ -271,17 +267,18 @@ def convolve_measure(m: MixedMeasure, t: float, medium: MediumParams, which: str
             atoms_out.append((pos + ct, 0.5 * w))
             dens += w * time_derivative_regular(x - pos, t, medium)
 
-    if m.density is not None and radius > 0.0:
+    if m.density is not None:
         d = m.density
-        n_sub = n_panels if n_panels is not None else panel_count(2 * radius, d.grid.dx)
-        offsets, weights = simpson_nodes_weights(-radius, radius, n_sub)
+        offsets, weights = simpson_nodes_weights(-radius, radius,
+                                                 panel_count(2 * radius, d.grid.dx))
         ft_w, f0_w = _cone_kernel_weights(t, medium, offsets)
-        kern = ft_w if which == "kernel_dt" else f0_w
-        dens += _window_sum(d, offsets, weights * kern, out_grid)
+        stencil = weights * (ft_w if which == "kernel_dt" else f0_w)
         if which == "kernel_dt":
-            dens += 0.5 * (sample_at(d, x - radius) + sample_at(d, x + radius))
-    elif m.density is not None and radius == 0.0 and which == "kernel_dt":
-        dens += sample_at(m.density, x)  # the derivative kernel at t=0 is a delta
+            # the derivative kernel's atoms of weight 1/2 sit on the end nodes
+            # -+ radius; at t = 0 every Simpson weight is 0 and they sum to a delta
+            stencil[0] += 0.5
+            stencil[-1] += 0.5
+        dens += _window_sum(d, offsets, stencil, out_grid)
 
     new_lo = min([lo] + [p for p, _ in m.atoms], default=lo) - radius
     new_hi = max([hi] + [p for p, _ in m.atoms], default=hi) + radius

@@ -192,6 +192,24 @@ class TestValidateCommand:
         assert "repeat probability" in err
 
 
+class TestOutOfDomainInput:
+    # exit 1 means "validation failure", so bad input must exit 2 with no traceback
+    @pytest.mark.parametrize("argv", [
+        ["kernel", "--n", "1"],
+        ["solve", "--n", "1"],
+        ["validate", "--suite", "fd", "--dx", "0"],
+        ["validate", "--suite", "fd", "--dx", "nan"],
+        ["validate", "--suite", "walk", "--t", "nan"],
+        ["validate", "--suite", "walk", "--t", "inf"],
+        ["validate", "--suite", "walk", "--seed", "-1"],
+    ])
+    def test_usage_error_exits_2(self, capsys, argv):
+        code, out, err = run_cli(argv, capsys)
+        assert code == 2
+        assert err.startswith("error:")
+        assert out == ""
+
+
 class TestConfigHandling:
     def test_config_file_and_flag_precedence(self, capsys, tmp_path):
         cfg = tmp_path / "run.cfg"

@@ -21,6 +21,12 @@ class TestFDConfig:
         assert cfg.courant <= 0.9 + 1e-12
         assert abs(cfg.steps * cfg.dt - 1.0) < 1e-12
 
+    @pytest.mark.parametrize("t_final", [math.nan, math.inf])
+    def test_non_finite_final_time_rejected(self, medium, t_final):
+        grid = tg.SpaceGrid(-1.0, 0.1, 21)
+        with pytest.raises(tg.UsageError):
+            tg.fd_config_for(t_final, grid, medium)
+
     def test_inconsistent_config_rejected(self, medium):
         grid = tg.SpaceGrid(-4.0, 1.0 / 64, 513)
         bad = tg.FDConfig(dt=0.9 / 64, courant=0.5, steps=72)  # courant lies
@@ -95,6 +101,19 @@ class TestWalkParams:
     def test_out_of_range(self):
         with pytest.raises(tg.UsageError):
             tg.walk_params(tg.MediumParams(k=3.0, c=1.0), 1.0)
+
+    def test_non_finite_step_rejected(self, medium):
+        with pytest.raises(tg.UsageError):
+            tg.walk_params(medium, math.nan)
+
+    @pytest.mark.parametrize("t_final", [math.nan, math.inf])
+    def test_non_finite_final_time_rejected(self, medium, t_final):
+        with pytest.raises(tg.UsageError):
+            tg.walk_config_for(medium, 1e-3, t_final, 100, seed=1)
+
+    def test_negative_seed_rejected(self):
+        with pytest.raises(tg.UsageError):
+            tg.WalkConfig(p=0.5, dx=0.1, dt=0.1, n_steps=4, n_walkers=10, seed=-1)
 
 
 class TestSimulateWalk:
