@@ -159,6 +159,9 @@ def _config_echo(cfg: RunConfig) -> dict:
 
 def _gaussian_data(cfg: RunConfig, grid: SpaceGrid) -> tuple[SampledField, SampledField]:
     v = cfg.values
+    for name in ("f_width", "g_width") if v["g_amp"] != 0.0 else ("f_width",):
+        if not (math.isfinite(v[name]) and v[name] != 0.0):
+            raise UsageError(f"--{name.replace('_', '-')} must be finite and nonzero")
     f = from_function(grid, lambda x: np.exp(-((x - v["f_center"]) / v["f_width"]) ** 2))
     if v["g_amp"] == 0.0:
         return f, zeros(grid)
@@ -255,6 +258,8 @@ def cmd_solve(cfg: RunConfig) -> tuple[dict, list[str], bool]:
 def cmd_delta(cfg: RunConfig) -> tuple[dict, list[str], bool]:
     medium = cfg.medium()
     t = cfg.values["t"]
+    if not t > 0:  # before the default grid, which is derived from ct
+        raise DomainError(f"point-source solutions need t > 0, got {t}")
     ct = medium.c * t
     v = dict(cfg.values)
     if v["xmin"] is None:

@@ -236,6 +236,11 @@ def derivative_x(f: SampledField) -> SampledField:
     return SampledField(f.grid, d)
 
 
+def _outside_support(x: np.ndarray, lo: float, hi: float) -> np.ndarray:
+    """Points of x past [lo, hi] by more than the roundoff of x0 + i*dx."""
+    return (x < lo - 1e-12 * max(1.0, abs(lo))) | (x > hi + 1e-12 * max(1.0, abs(hi)))
+
+
 @dataclass(frozen=True)
 class MassBreakdown:
     atoms: float
@@ -271,8 +276,7 @@ class MixedMeasure:
             if not (math.isfinite(p) and math.isfinite(w)):
                 raise DomainError("atom positions and weights must be finite")
         if self.density is not None:
-            x = self.density.x
-            outside = (x < lo - 1e-12 * max(1.0, abs(lo))) | (x > hi + 1e-12 * max(1.0, abs(hi)))
+            outside = _outside_support(self.density.x, lo, hi)
             if np.any(self.density.values[outside] != 0.0):
                 raise UsageError("density must vanish outside the support interval")
         if self.probabilistic:

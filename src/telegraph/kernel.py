@@ -10,7 +10,7 @@ transformed problem is supported on the closed light cone |x| <= c|t|:
 odd in t, even in x, equal to sgn(t)/(2c) on the characteristics.  Its
 time derivative splits into two Dirac atoms of weight 1/2 riding the
 cone boundary (at x = -ct and x = +ct) plus a bounded density inside;
-this module evaluates the kernel and that density for all real times.
+this module alone evaluates the kernel and that density, for all real times.
 """
 
 from __future__ import annotations
@@ -45,27 +45,53 @@ class MediumParams:
         object.__setattr__(self, "alpha", self.k / (4.0 * self.c))
 
 
-def _check_point(x: float, t: float) -> None:
-    if not (math.isfinite(t)):
-        raise DomainError(f"time must be finite, got {t!r}")
-    if not np.all(np.isfinite(x)):
-        raise DomainError("positions must be finite")
-
-
 def _masks(x: np.ndarray, t: float, c: float):
     radius = c * abs(t)
     lam = radius * radius - x * x
     r = np.abs(x)
-    big = np.maximum(r, radius)
     # classify on magnitudes normalized by the larger one, so the relative
     # tolerance survives even where the raw squares would underflow
-    safe = np.where(big > 0.0, big, 1.0)
-    rn = r / safe
-    cn = radius / safe
-    lam_n = cn * cn - rn * rn
-    boundary = np.abs(lam_n) <= CONE_EPS * (cn * cn + rn * rn)
-    inside = (lam_n > 0) & ~boundary
-    return lam, boundary, inside
+    big = np.maximum(r, radius)
+    big[big == 0.0] = 1.0
+    rn2 = r / big
+    rn2 *= rn2
+    cn2 = radius / big
+    cn2 *= cn2
+    lam_n = cn2 - rn2
+    tol = CONE_EPS * (cn2 + rn2)
+    # tol >= 0, so lam_n > tol is lam_n > 0 off the boundary
+    return lam, np.abs(lam_n) <= tol, lam_n > tol
+
+
+def _cone_combination(x, t: float, medium: MediumParams, w_psi: float, w_reg: float,
+                      w_dip: float):
+    """w_psi psi + w_reg psi_t,reg + w_dip c psi_x at positions x (scalar or array).
+
+    c psi_x is taken inside the closed cone, where it is -(x/(ct)) psi_t,reg;
+    its atoms on the cone edges are the caller's.  A term of zero weight
+    costs no Bessel evaluation.
+    """
+    scalar = np.isscalar(x) or np.ndim(x) == 0
+    x = np.atleast_1d(np.asarray(x, dtype=float))
+    if not math.isfinite(t):
+        raise DomainError(f"time must be finite, got {t!r}")
+    if not np.all(np.isfinite(x)):
+        raise DomainError("positions must be finite")
+    lam, boundary, inside = _masks(x, t, medium.c)
+    out = np.zeros_like(x)
+    if w_psi != 0.0:
+        edge = (math.copysign(1.0, t) if t != 0.0 else 0.0) / (2.0 * medium.c)
+        out[boundary] = w_psi * edge
+        out[inside] = w_psi * (edge * bessel.i0_array(2.0 * medium.alpha
+                                                      * np.sqrt(lam[inside])))
+    if w_reg != 0.0 or w_dip != 0.0:
+        supported = boundary | inside
+        arg = 2.0 * medium.alpha * np.sqrt(np.maximum(lam[supported], 0.0))
+        reg = (2.0 * medium.alpha ** 2 * medium.c * abs(t)) * bessel.i1_over_z_array(arg)
+        ct = medium.c * t
+        reg *= (w_reg * ct - w_dip * x[supported]) / ct if w_dip != 0.0 else w_reg
+        out[supported] += reg
+    return float(out[0]) if scalar else out
 
 
 def fundamental_solution(x, t: float, medium: MediumParams):
@@ -74,18 +100,7 @@ def fundamental_solution(x, t: float, medium: MediumParams):
     Zero outside the closed cone, sgn(t)/(2c) on it (closed-interval
     convention), sgn(t)/(2c) * I0(2 alpha sqrt(lam)) strictly inside.
     """
-    scalar = np.isscalar(x) or np.ndim(x) == 0
-    x = np.atleast_1d(np.asarray(x, dtype=float))
-    _check_point(x, t)
-    sgn = math.copysign(1.0, t) if t != 0.0 else 0.0
-    lam, boundary, inside = _masks(x, t, medium.c)
-    out = np.zeros_like(x)
-    edge = sgn / (2.0 * medium.c)
-    out[boundary] = edge
-    if inside.any():
-        arg = 2.0 * medium.alpha * np.sqrt(lam[inside])
-        out[inside] = edge * bessel.i0_array(arg)
-    return float(out[0]) if scalar else out
+    return _cone_combination(x, t, medium, 1.0, 0.0, 0.0)
 
 
 def time_derivative_regular(x, t: float, medium: MediumParams):
@@ -96,15 +111,19 @@ def time_derivative_regular(x, t: float, medium: MediumParams):
     cone boundary is reached continuously with value alpha^2 c |t|.
     Zero outside the cone; even in t.
     """
-    scalar = np.isscalar(x) or np.ndim(x) == 0
-    x = np.atleast_1d(np.asarray(x, dtype=float))
-    _check_point(x, t)
-    lam, boundary, inside = _masks(x, t, medium.c)
-    out = np.zeros_like(x)
-    supported = boundary | inside
-    if supported.any():
-        arg = 2.0 * medium.alpha * np.sqrt(np.maximum(lam[supported], 0.0))
-        amp = 2.0 * medium.alpha ** 2 * medium.c * abs(t)
-        out[supported] = amp * bessel.i1_over_z_array(arg)
-    return float(out[0]) if scalar else out
+    return _cone_combination(x, t, medium, 0.0, 1.0, 0.0)
 
+
+def _cone_kernel_weights(t: float, medium: MediumParams, offsets: np.ndarray):
+    """Kernel factors at quadrature offsets y - x over the cone window.
+
+    Returns (ft_weight, f0_weight): the window-position-dependent factors
+    multiplying f (time-derivative kernel density) and g + (k/2) f
+    (kernel itself, odd in t).
+    """
+    lam = np.maximum((medium.c * t) ** 2 - offsets ** 2, 0.0)
+    arg = 2.0 * medium.alpha * np.sqrt(lam)
+    sgn = math.copysign(1.0, t)
+    ft = (2.0 * medium.alpha ** 2 * medium.c * abs(t)) * bessel.i1_over_z_array(arg)
+    f0 = (sgn / (2.0 * medium.c)) * bessel.i0_array(arg)
+    return ft, f0

@@ -368,7 +368,7 @@ class ValidationReport:
 
 def rel_l2_error(approx: SampledField, reference: SampledField,
                  window: Optional[tuple[float, float]] = None) -> float:
-    """Relative L2 error, optionally restricted to a comparison window."""
+    """Relative L2 error, optionally restricted to a window holding a grid point."""
     if approx.grid != reference.grid:
         raise UsageError("fields must share one grid")
     a = approx.values
@@ -376,6 +376,8 @@ def rel_l2_error(approx: SampledField, reference: SampledField,
     if window is not None:
         x = approx.x
         mask = (x >= window[0]) & (x <= window[1])
+        if not mask.any():
+            raise UsageError(f"comparison window {tuple(window)} holds no grid point")
         a = a[mask]
         r = r[mask]
     denom = math.sqrt(float(np.sum(r * r)))

@@ -23,9 +23,13 @@ stencil still touches the grid, so a cone that reaches past the grid
 sees zero data there.  The accumulation order is fixed, so results do
 not depend on how work is scheduled.
 
-Point-mass initial data never touch quadrature for their singular part:
-``point_source_solution`` returns the exact atoms plus the closed-form
-density as a MixedMeasure.
+Point data f = a delta, g = b delta + d c delta' at the origin need no
+quadrature: with K = psi and K_t = [delta(x+ct) + delta(x-ct)]/2 + psi_t,reg,
+u = e^{-kt/2} [K_t * f + K * (g + k f/2)] is e^{-kt/2} times atoms (a+d)/2
+at -ct and (a-d)/2 at +ct plus the density (a - d x/(ct)) psi_t,reg +
+(b + k a/2) psi, as c psi_x = -(x/(ct)) psi_t,reg inside the cone.  The
+kinds of ``point_source_solution`` are the rows (a, b, d) = (1, 0, 0)
+delta_position, (0, 1, 0) delta_velocity and (1, 0, -1) financial.
 """
 
 from __future__ import annotations
@@ -35,13 +39,19 @@ from typing import Optional
 
 import numpy as np
 
-from . import bessel
 from .errors import DomainError, UsageError
-from .fields import MixedMeasure, SampledField, SpaceGrid, _window_sum, sample_shifted
-from .kernel import CONE_EPS, MediumParams, fundamental_solution, time_derivative_regular
+from .fields import (MixedMeasure, SampledField, SpaceGrid, _outside_support, _window_sum,
+                     sample_shifted)
+from .kernel import MediumParams, _cone_combination, _cone_kernel_weights, _masks
 from .quadrature import panel_count, simpson_nodes_weights
 
-DELTA_KINDS = ("delta_position", "delta_velocity", "financial")
+#: Point data at the origin as rows (a, b, d): f = a delta, g = b delta + d c delta'.
+_POINT_DATA = {
+    "delta_position": (1.0, 0.0, 0.0),
+    "delta_velocity": (0.0, 1.0, 0.0),
+    "financial": (1.0, 0.0, -1.0),
+}
+DELTA_KINDS = tuple(_POINT_DATA)
 
 #: Time step of ``velocity``'s coarse central-difference probes; fine ones use half.
 DT_PROBE = 1e-3
@@ -58,21 +68,6 @@ def _check_time(t: float) -> float:
     if not math.isfinite(t):
         raise DomainError(f"time must be finite, got {t!r}")
     return t
-
-
-def _cone_kernel_weights(t: float, medium: MediumParams, offsets: np.ndarray):
-    """Kernel factors at quadrature offsets y - x over the cone window.
-
-    Returns (ft_weight, f0_weight): the window-position-dependent factors
-    multiplying f (time-derivative kernel density) and g + (k/2) f
-    (kernel itself, odd in t).
-    """
-    lam = np.maximum((medium.c * t) ** 2 - offsets ** 2, 0.0)
-    arg = 2.0 * medium.alpha * np.sqrt(lam)
-    sgn = math.copysign(1.0, t)
-    ft = (2.0 * medium.alpha ** 2 * medium.c * abs(t)) * bessel.i1_over_z_array(arg)
-    f0 = (sgn / (2.0 * medium.c)) * bessel.i0_array(arg)
-    return ft, f0
 
 
 def _rescaled_values(f: SampledField, g: SampledField, t: float,
@@ -150,24 +145,18 @@ def velocity(f: SampledField, g: SampledField, t: float, medium: MediumParams,
 
 def point_source_solution(kind: str, t: float, medium: MediumParams,
                           grid: SpaceGrid) -> MixedMeasure:
-    """Mixed-measure solution for point-mass initial data.
+    """Mixed-measure solution for point data at the origin, t > 0.
 
-    kind:
-      delta_position  -- unit mass at the origin, zero velocity: atoms of
-                         weight e^{-kt/2}/2 on both cone edges plus an even
-                         interior density.
-      delta_velocity  -- zero displacement, unit velocity impulse: pure
-                         density e^{-kt/2} * kernel (no atoms).
-      financial       -- unit mass with a deterministic initial drift of
-                         speed c to the right: single atom of weight
-                         e^{-kt/2} at +ct plus a skewed interior density.
-
-    delta_position and financial are probability measures (total mass 1);
-    delta_velocity integrates to (1 - e^{-kt})/k and is not flagged
-    probabilistic.  The returned measure keeps the closed-form density
-    callable so mass quadrature does not depend on the sample grid.
+    Each kind is a row (a, b, d): f = a delta, g = b delta + d c delta'.
+    The solution is e^{-kt/2} times atoms (a+d)/2 at -ct and (a-d)/2 at +ct
+    (zero ones dropped) plus the density (a - d x/(ct)) psi_t,reg +
+    (b + k a/2) psi.  Rows: delta_position (1, 0, 0), unit mass at rest;
+    delta_velocity (0, 1, 0), a unit velocity impulse; financial (1, 0, -1),
+    unit mass drifting right at speed c.  The mass is a + b (1 - e^{-kt})/k,
+    so rows with a = 1, b = 0 are probabilistic.  Samples vanish off the
+    open cone; the density stays callable for grid-free mass quadrature.
     """
-    if kind not in DELTA_KINDS:
+    if kind not in _POINT_DATA:
         raise UsageError(f"unknown kind {kind!r}, expected one of {DELTA_KINDS}")
     t = _check_time(t)
     if t <= 0:
@@ -176,45 +165,24 @@ def point_source_solution(kind: str, t: float, medium: MediumParams,
     if not grid.covers(-ct, ct):
         raise UsageError(
             f"grid [{grid.x0}, {grid.x_end}] does not cover the cone [-{ct}, {ct}]")
+    a, b, d = _POINT_DATA[kind]
     damp = math.exp(-0.5 * medium.k * t)
-    alpha = medium.alpha
-    k = medium.k
+    atoms = tuple((pos, damp * w) for pos, w in ((-ct, (a + d) / 2), (ct, (a - d) / 2))
+                  if w != 0.0)
+    w_psi = b + 0.5 * medium.k * a
 
-    if kind == "delta_position":
-        atoms = ((-ct, 0.5 * damp), (ct, 0.5 * damp))
-
-        def density_fn(x):
-            x = np.asarray(x, dtype=float)
-            return damp * (time_derivative_regular(x, t, medium)
-                           + 0.5 * k * fundamental_solution(x, t, medium))
-    elif kind == "delta_velocity":
-        atoms = ()
-
-        def density_fn(x):
-            x = np.asarray(x, dtype=float)
-            return damp * fundamental_solution(x, t, medium)
-    else:  # financial
-        atoms = ((ct, damp),)
-
-        def density_fn(x):
-            x = np.asarray(x, dtype=float)
-            lam = np.maximum(ct * ct - x * x, 0.0)
-            arg = 2.0 * alpha * np.sqrt(lam)
-            on_cone = np.abs(x) <= ct
-            vals = damp * (2.0 * alpha ** 2 * (x + ct) * bessel.i1_over_z_array(arg)
-                           + alpha * bessel.i0_array(arg))
-            return np.where(on_cone, vals, 0.0)
+    def density_fn(x):
+        return damp * _cone_combination(x, t, medium, w_psi, a, d)
 
     x = grid.points()
-    strictly_inside = (ct * ct - x * x) > CONE_EPS * (ct * ct + x * x)
+    inside = _masks(x, t, medium.c)[2]
     samples = np.zeros(grid.n)
-    if strictly_inside.any():
-        samples[strictly_inside] = density_fn(x[strictly_inside])
+    samples[inside] = density_fn(x[inside])
     return MixedMeasure(
         atoms=atoms,
         density=SampledField(grid, samples),
         support=(-ct, ct),
-        probabilistic=(kind != "delta_velocity"),
+        probabilistic=(a == 1.0 and b == 0.0),
         density_fn=density_fn,
     )
 
@@ -260,12 +228,12 @@ def convolve_measure(m: MixedMeasure, t: float, medium: MediumParams, which: str
 
     for pos, w in m.atoms:
         if which == "kernel":
-            dens += w * fundamental_solution(x - pos, t, medium)
+            dens += _cone_combination(x - pos, t, medium, w, 0.0, 0.0)
         else:
             ct = medium.c * t
             atoms_out.append((pos - ct, 0.5 * w))
             atoms_out.append((pos + ct, 0.5 * w))
-            dens += w * time_derivative_regular(x - pos, t, medium)
+            dens += _cone_combination(x - pos, t, medium, 0.0, w, 0.0)
 
     if m.density is not None:
         d = m.density
@@ -283,8 +251,7 @@ def convolve_measure(m: MixedMeasure, t: float, medium: MediumParams, which: str
     new_lo = min([lo] + [p for p, _ in m.atoms], default=lo) - radius
     new_hi = max([hi] + [p for p, _ in m.atoms], default=hi) + radius
     # clip stray interpolation noise outside the enlarged support
-    outside = (x < new_lo) | (x > new_hi)
-    dens[outside] = 0.0
+    dens[_outside_support(x, new_lo, new_hi)] = 0.0
     return MixedMeasure(
         atoms=tuple(atoms_out),
         density=SampledField(out_grid, dens),

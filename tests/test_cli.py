@@ -202,11 +202,25 @@ class TestOutOfDomainInput:
         ["validate", "--suite", "walk", "--t", "nan"],
         ["validate", "--suite", "walk", "--t", "inf"],
         ["validate", "--suite", "walk", "--seed", "-1"],
+        # c*t >= 4 leaves the semigroup comparison window empty
+        ["validate", "--suite", "semigroup", "--t", "5"],
     ])
     def test_usage_error_exits_2(self, capsys, argv):
         code, out, err = run_cli(argv, capsys)
         assert code == 2
         assert err.startswith("error:")
+        assert out == ""
+
+    @pytest.mark.parametrize("argv,message", [
+        (["delta", "--t", "-1"], "t > 0"),
+        (["delta", "--t", "0"], "t > 0"),
+        (["solve", "--f-width", "0"], "--f-width"),
+        (["solve", "--g-width", "0", "--g-amp", "1"], "--g-width"),
+    ])
+    def test_error_names_the_bad_input(self, capsys, argv, message):
+        code, out, err = run_cli(argv, capsys)
+        assert code == 2
+        assert err.startswith("error:") and message in err
         assert out == ""
 
 

@@ -239,3 +239,9 @@ class TestRelL2:
         a = tg.SampledField(grid_coarse, np.where(np.abs(x) > 2, 5.0, 1.0))
         b = tg.SampledField(grid_coarse, np.ones(grid_coarse.n))
         assert tg.rel_l2_error(a, b, window=(-1.0, 1.0)) == 0.0
+
+    @pytest.mark.parametrize("window", [(2.0, -2.0), (100.0, 101.0)])
+    def test_empty_window_rejected(self, grid_coarse, window):
+        a = tg.SampledField(grid_coarse, np.ones(grid_coarse.n))
+        with pytest.raises(tg.UsageError, match="window"):
+            tg.rel_l2_error(a, a, window=window)

@@ -6,8 +6,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import telegraph as tg
-from telegraph import oracles, solver
-from telegraph.quadrature import panel_count, simpson_pattern
+from telegraph import kernel, oracles, solver
+from telegraph.bessel import i0_array, i1_over_z_array
+from telegraph.quadrature import panel_count, simpson_nodes_weights, simpson_pattern
 
 from conftest import gaussian
 
@@ -193,6 +194,52 @@ class TestPointSource:
         assert abs(meas.mass_breakdown().total - (1 - math.exp(-k)) / k) < 1e-6
 
 
+# The three kinds' atoms and densities as closed forms written out per kind:
+# the reference for the row formula of point_source_solution.
+def kind_reference(kind, x, t, medium):
+    k, c, alpha = medium.k, medium.c, medium.alpha
+    ct = c * t
+    damp = math.exp(-0.5 * k * t)
+    if kind == "delta_position":
+        atoms = ((-ct, 0.5 * damp), (ct, 0.5 * damp))
+        dens = damp * (tg.time_derivative_regular(x, t, medium)
+                       + 0.5 * k * tg.fundamental_solution(x, t, medium))
+    elif kind == "delta_velocity":
+        atoms = ()
+        dens = damp * tg.fundamental_solution(x, t, medium)
+    else:
+        atoms = ((ct, damp),)
+        arg = 2.0 * alpha * np.sqrt(np.maximum(ct * ct - x * x, 0.0))
+        dens = np.where(np.abs(x) <= ct,
+                        damp * (2.0 * alpha ** 2 * (x + ct) * i1_over_z_array(arg)
+                                + alpha * i0_array(arg)), 0.0)
+    return atoms, dens
+
+
+class TestPointDataRows:
+    @pytest.mark.parametrize("kind", solver.DELTA_KINDS)
+    @pytest.mark.parametrize("k,t,c", [(0.05, 2.0, 1.3), (2.1, 1.0, 0.7),
+                                       (50.0, 2.0, 1.0), (1400.0, 1.0, 2.5)])
+    def test_rows_match_the_closed_forms(self, kind, k, t, c):
+        medium = tg.MediumParams(k=k, c=c)
+        ct = c * t
+        # grid points at -ct, 0 and (up to roundoff) +ct, where samples are 0
+        grid = tg.SpaceGrid(-2.0 * ct, ct / 64, 257)
+        meas = tg.point_source_solution(kind, t, medium, grid)
+        nodes, _ = simpson_nodes_weights(-ct, ct, 4096)
+        ref_atoms, ref_nodes = kind_reference(kind, nodes, t, medium)
+        assert meas.atoms == ref_atoms
+        assert meas.probabilistic == (kind != "delta_velocity")
+        got = meas.density_fn(nodes)
+        assert np.all(np.abs(got - ref_nodes) <= 1e-14 * np.abs(ref_nodes))
+
+        x = grid.points()
+        strictly_inside = (ct * ct - x * x) > 1e-12 * (ct * ct + x * x)
+        ref_samples = np.where(strictly_inside, kind_reference(kind, x, t, medium)[1], 0.0)
+        got = meas.density.values
+        assert np.all(np.abs(got - ref_samples) <= 1e-14 * np.abs(ref_samples))
+
+
 class TestConvolveMeasure:
     def test_atom_with_kernel_dt_is_decomposition(self, medium, grid_coarse):
         m = tg.MixedMeasure(atoms=((0.0, 1.0),), density=None, support=(0.0, 0.0))
@@ -269,7 +316,7 @@ def cone_nodes(t, medium, dx, n_sub=None):
     h = 2 * radius / n_sub
     offsets = -radius + h * np.arange(n_sub + 1)
     offsets[-1] = radius
-    ft_w, f0_w = solver._cone_kernel_weights(t, medium, offsets)
+    ft_w, f0_w = kernel._cone_kernel_weights(t, medium, offsets)
     return offsets, simpson_pattern(n_sub) * (h / 3.0), ft_w, f0_w
 
 
@@ -328,6 +375,18 @@ class TestConeEdgeRule:
         m = tg.MixedMeasure(atoms=(), density=dens, support=(-1.5, 1.5))
         got = tg.convolve_measure(m, 0.0, EDGE_MEDIUM, "kernel_dt").density.values
         assert np.array_equal(got, np.pad(dens.values, 2))
+
+    def test_zero_time_identity_keeps_the_support_ends(self):
+        # support = the density grid: roundoff in the out-grid's x0 + i*dx must
+        # not put the density's own end points outside the support
+        rng = np.random.default_rng(2024)
+        for _ in range(300):
+            grid = tg.SpaceGrid(rng.uniform(-5.0, 5.0), rng.uniform(1e-3, 0.1),
+                                int(rng.integers(8, 400)))
+            dens = tg.SampledField(grid, 1.0 + rng.random(grid.n))
+            m = tg.MixedMeasure(atoms=(), density=dens, support=(grid.x0, grid.x_end))
+            got = tg.convolve_measure(m, 0.0, EDGE_MEDIUM, "kernel_dt").density.values
+            assert np.array_equal(got, np.pad(dens.values, 2))
 
     def test_duhamel_windows_match_node_loop(self, monkeypatch):
         calls = []
