@@ -18,7 +18,7 @@ from .kernel import MediumParams, fundamental_solution, time_derivative_regular
 from .oracles import (DuhamelConfig, FDConfig, ValidationReport, WalkConfig,
                       binned_tv_distance, duhamel_residual, expected_never_flip,
                       fd_config_for, fd_solve, rel_l2_error, simulate_walk,
-                      walk_config_for, walk_params)
+                      walk_config_for)
 from .semigroup import NormRow, StatePair, evolve, norm_report
 from .solver import (convolve_measure, point_source_solution, solve,
                      solve_rescaled, velocity)
@@ -35,5 +35,5 @@ __all__ = [
     "i1_over_z", "l2_norm", "norm_report", "point_source_solution",
     "rel_l2_error", "sample_at", "sample_shifted", "simulate_walk", "solve",
     "solve_rescaled", "time_derivative_regular", "evolve", "velocity",
-    "walk_config_for", "walk_params", "zeros",
+    "walk_config_for", "zeros",
 ]

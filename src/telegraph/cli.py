@@ -162,12 +162,15 @@ def _gaussian_data(cfg: RunConfig, grid: SpaceGrid) -> tuple[SampledField, Sampl
     for name in ("f_width", "g_width") if v["g_amp"] != 0.0 else ("f_width",):
         if not (math.isfinite(v[name]) and v[name] != 0.0):
             raise UsageError(f"--{name.replace('_', '-')} must be finite and nonzero")
-    f = from_function(grid, lambda x: np.exp(-((x - v["f_center"]) / v["f_width"]) ** 2))
+
+    def bump(amp: float, center: float, width: float) -> SampledField:
+        with np.errstate(over="ignore"):  # a tiny width gives exp(-inf) = 0
+            return from_function(grid, lambda x: amp * np.exp(-((x - center) / width) ** 2))
+
+    f = bump(1.0, v["f_center"], v["f_width"])
     if v["g_amp"] == 0.0:
         return f, zeros(grid)
-    g = from_function(grid, lambda x: v["g_amp"] * np.exp(
-        -((x - v["g_center"]) / v["g_width"]) ** 2))
-    return f, g
+    return f, bump(v["g_amp"], v["g_center"], v["g_width"])
 
 
 def _file_data(path: Optional[str]) -> tuple[SampledField, SampledField]:
@@ -313,8 +316,7 @@ def _suite_walk(cfg: RunConfig) -> list[ValidationReport]:
     medium = cfg.medium()
     t = cfg.values["t"]
     walk_cfg = walk_config_for(medium, cfg.values["dt_walk"], t,
-                               cfg.values["n_walkers"], cfg.values["seed"],
-                               first_step="symmetric")
+                               cfg.values["n_walkers"], cfg.values["seed"])
     estimate = simulate_walk(walk_cfg)
     ct = medium.c * t
     ref_grid = SpaceGrid(-1.25 * ct, 2.5 * ct / 4096, 4097)

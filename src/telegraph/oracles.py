@@ -26,8 +26,6 @@ from .quadrature import (integrate_bins, panel_count, simpson_nodes_weights,
                          simpson_pattern)
 from .solver import solve_rescaled
 
-FIRST_STEPS = ("up", "down", "symmetric")
-
 #: Walkers per RNG block; each block draws from its own Philox stream
 #: derived from (seed, block index), so results are reproducible and
 #: independent of how blocks are scheduled.
@@ -117,52 +115,41 @@ def fd_solve(f: SampledField, g: SampledField, t_final: float,
 class WalkConfig:
     """Lattice walk: repeat the previous move with probability p.
 
-    The first move is fixed by ``first_step`` ("up"/"down" deterministic,
-    "symmetric" a fair coin); repeat-or-flip decisions happen on the
-    remaining n_steps - 1 moves, so a walker never flips with probability
-    p^(n_steps - 1).
+    The first move is up or down by a fair coin; repeat-or-flip decisions
+    happen on the remaining n_steps - 1 moves, so a walker never flips with
+    probability p^(n_steps - 1).
     """
 
     p: float
     dx: float
-    dt: float
     n_steps: int
     n_walkers: int
     seed: int
-    first_step: str = "symmetric"
 
     def __post_init__(self):
         if not 0.0 <= self.p <= 1.0:
             raise UsageError(f"repeat probability must lie in [0,1], got {self.p}")
-        if self.dx <= 0 or self.dt <= 0:
-            raise UsageError("dx and dt must be positive")
+        if self.dx <= 0:
+            raise UsageError("dx must be positive")
         if self.n_steps < 1 or self.n_walkers < 1:
             raise UsageError("need at least one step and one walker")
-        if self.first_step not in FIRST_STEPS:
-            raise UsageError(f"first_step must be one of {FIRST_STEPS}")
         if self.seed < 0:
             raise UsageError(f"seed must be nonnegative, got {self.seed}")
 
 
-def walk_params(medium: MediumParams, dt: float) -> tuple[float, float]:
-    """Continuum-matched (p, dx): p = 1 - k dt/2, dx = c dt."""
+def walk_config_for(medium: MediumParams, dt: float, t_final: float,
+                    n_walkers: int, seed: int) -> WalkConfig:
+    """Continuum-matched walk reaching t_final: p = 1 - k dt/2, dx = c dt."""
     if not (math.isfinite(dt) and dt > 0):
         raise UsageError(f"dt must be positive and finite, got {dt}")
     if medium.k * dt > 2.0:
         raise UsageError(
             f"k*dt = {medium.k * dt} > 2 puts the repeat probability below 0")
-    return 1.0 - 0.5 * medium.k * dt, medium.c * dt
-
-
-def walk_config_for(medium: MediumParams, dt: float, t_final: float,
-                    n_walkers: int, seed: int,
-                    first_step: str = "symmetric") -> WalkConfig:
-    p, dx = walk_params(medium, dt)
     n_steps = round(t_final / dt) if math.isfinite(t_final) else 0
     if abs(n_steps * dt - t_final) > 1e-9 * max(1.0, t_final) or n_steps < 1:
         raise UsageError(f"t_final = {t_final} is not a positive multiple of dt = {dt}")
-    return WalkConfig(p=p, dx=dx, dt=dt, n_steps=n_steps,
-                      n_walkers=n_walkers, seed=seed, first_step=first_step)
+    return WalkConfig(p=1.0 - 0.5 * medium.k * dt, dx=medium.c * dt,
+                      n_steps=n_steps, n_walkers=n_walkers, seed=seed)
 
 
 def expected_never_flip(cfg: WalkConfig) -> float:
@@ -173,10 +160,17 @@ def expected_never_flip(cfg: WalkConfig) -> float:
 def simulate_walk(cfg: WalkConfig) -> MixedMeasure:
     """Empirical law of the walk after n_steps, as a mixed measure.
 
+    Each walker starts as if it never flips (position +-n) and is then
+    moved by whole runs: the gaps between its flips are geometric with
+    success probability 1 - p, and a flip at decision j reverses the
+    n - j moves after it.  The cost is about walkers x (1 + expected
+    flips).
+
     Flipped walkers populate a histogram over the parity-matched lattice
     sites (bin width 2 dx); never-flipped walkers are tallied separately
     as atom masses at -+ n dx.  Deterministic for a fixed seed: block b
-    always covers walkers [b*WALK_BLOCK, (b+1)*WALK_BLOCK) from stream
+    always covers walkers [b*WALK_BLOCK, (b+1)*WALK_BLOCK) and draws their
+    first moves, then their flip gaps, from stream
     Philox(SeedSequence(seed, spawn_key=(b,))).  WALK_BLOCK is part of
     this seed contract: another block size gives another sample.
     """
@@ -192,25 +186,22 @@ def simulate_walk(cfg: WalkConfig) -> MixedMeasure:
         w = min(WALK_BLOCK, total - done)
         ss = np.random.SeedSequence(entropy=cfg.seed, spawn_key=(block,))
         rng = np.random.Generator(np.random.Philox(seed=ss))
-        if cfg.first_step == "up":
-            first = np.ones(w, dtype=np.int64)
-        elif cfg.first_step == "down":
-            first = -np.ones(w, dtype=np.int64)
-        else:
-            first = rng.integers(0, 2, size=w, dtype=np.int64) * 2 - 1
-        if n > 1:
-            flips = rng.random((w, n - 1)) < q
-            nflips = np.cumsum(flips, axis=1, dtype=np.int32)
-            signs = 1 - 2 * (nflips & 1)
-            pos_units = first * (1 + signs.sum(axis=1, dtype=np.int64))
-            never = nflips[:, -1] == 0
-        else:
-            pos_units = first.copy()
-            never = np.ones(w, dtype=bool)
-        never_up += int(np.count_nonzero(never & (first > 0)))
-        never_down += int(np.count_nonzero(never & (first < 0)))
-        moved = ~never
-        counts += np.bincount((pos_units[moved] + n) // 2, minlength=n + 1)
+        first = rng.integers(0, 2, size=w, dtype=np.int64) * 2 - 1
+        pos = n * first
+        # walkers that may still flip, their direction and decisions used;
+        # p = 1 never flips and geometric(0) is undefined
+        live = np.arange(w if q > 0.0 else 0)
+        sign, at = first[live], np.zeros(live.size, dtype=np.int64)
+        while live.size:
+            gap = rng.geometric(q, size=live.size)
+            turned = gap < n - at
+            live, at, sign = live[turned], at[turned] + gap[turned], sign[turned]
+            pos[live] -= 2 * sign * (n - at)
+            sign = -sign
+        never_up += int(np.count_nonzero(pos == n))
+        never_down += int(np.count_nonzero(pos == -n))
+        moved = np.abs(pos) < n
+        counts += np.bincount((pos[moved] + n) // 2, minlength=n + 1)
         done += w
         block += 1
 

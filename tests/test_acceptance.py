@@ -159,8 +159,7 @@ def test_criterion_5_mass_conservation():
 def test_criterion_6_monte_carlo_lattice_limit():
     start = time.perf_counter()
     m = tg.MediumParams(k=1.0, c=1.0)
-    cfg = tg.walk_config_for(m, 1e-3, 1.0, 1_000_000, seed=20260810,
-                             first_step="symmetric")
+    cfg = tg.walk_config_for(m, 1e-3, 1.0, 1_000_000, seed=20260810)
     estimate = tg.simulate_walk(cfg)
     ref_grid = tg.SpaceGrid(-1.25, 2.5 / 4096, 4097)
     reference = tg.point_source_solution("delta_position", 1.0, m, ref_grid)

@@ -92,6 +92,14 @@ class TestSolveCommand:
         inside = np.abs(x) <= 2.5
         assert np.max(np.abs(u[inside] - expected[inside])) < 1e-10
 
+    @pytest.mark.parametrize("extra", [[], ["--g-amp", "1", "--g-width", "1e-200"]])
+    def test_tiny_width_gaussian_is_exact(self, capsys, extra):
+        # the squared offset overflows to inf, and exp(-inf) = 0 is the exact tail
+        code, out, _ = run_cli(["solve", "--t", "0", "--n", "5",
+                                "--f-width", "1e-200", *extra], capsys)
+        assert code == 0
+        assert [ln.split(",")[1] for ln in out.split()[1:]] == ["0", "0", "1", "0", "0"]
+
     def test_file_init_roundtrip(self, capsys, tmp_path):
         data = tmp_path / "init.csv"
         xs = np.linspace(-2, 2, 65)

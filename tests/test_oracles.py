@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import numpy as np
@@ -85,26 +86,39 @@ class TestFDSolve:
             assert np.max(np.abs(fd.values - conv.values)) < 1e-4
 
 
+def walk_law(p, n_steps):
+    """Exact law of the lattice walk over its n_steps + 1 sites, by enumeration."""
+    law = np.zeros(n_steps + 1)
+    for first in (-1, 1):
+        for turns in itertools.product((False, True), repeat=n_steps - 1):
+            step = pos = first
+            for turn in turns:
+                step = -step if turn else step
+                pos += step
+            law[(pos + n_steps) // 2] += 0.5 * math.prod(1 - p if t else p for t in turns)
+    return law
+
+
 class TestWalkParams:
     def test_undamped_never_flips(self):
-        p, dx = tg.walk_params(tg.MediumParams(k=0.0, c=1.0), 0.01)
-        assert p == 1.0 and dx == 0.01
+        cfg = tg.walk_config_for(tg.MediumParams(k=0.0, c=1.0), 0.01, 1.0, 10, seed=0)
+        assert cfg.p == 1.0 and cfg.dx == 0.01
 
     def test_scaling_example(self):
-        p, _ = tg.walk_params(tg.MediumParams(k=1.0, c=1.0), 0.01)
-        assert abs(p - 0.995) < 1e-15
+        cfg = tg.walk_config_for(tg.MediumParams(k=1.0, c=1.0), 0.01, 1.0, 10, seed=0)
+        assert abs(cfg.p - 0.995) < 1e-15
 
     def test_boundary_of_validity(self):
-        p, dx = tg.walk_params(tg.MediumParams(k=2.0, c=1.0), 1.0)
-        assert p == 0.0 and dx == 1.0
+        cfg = tg.walk_config_for(tg.MediumParams(k=2.0, c=1.0), 1.0, 1.0, 10, seed=0)
+        assert cfg.p == 0.0 and cfg.dx == 1.0
 
     def test_out_of_range(self):
         with pytest.raises(tg.UsageError):
-            tg.walk_params(tg.MediumParams(k=3.0, c=1.0), 1.0)
+            tg.walk_config_for(tg.MediumParams(k=3.0, c=1.0), 1.0, 1.0, 10, seed=0)
 
     def test_non_finite_step_rejected(self, medium):
         with pytest.raises(tg.UsageError):
-            tg.walk_params(medium, math.nan)
+            tg.walk_config_for(medium, math.nan, 1.0, 10, seed=0)
 
     @pytest.mark.parametrize("t_final", [math.nan, math.inf])
     def test_non_finite_final_time_rejected(self, medium, t_final):
@@ -113,16 +127,42 @@ class TestWalkParams:
 
     def test_negative_seed_rejected(self):
         with pytest.raises(tg.UsageError):
-            tg.WalkConfig(p=0.5, dx=0.1, dt=0.1, n_steps=4, n_walkers=10, seed=-1)
+            tg.WalkConfig(p=0.5, dx=0.1, n_steps=4, n_walkers=10, seed=-1)
 
 
 class TestSimulateWalk:
-    def test_ballistic_when_p_is_one(self):
-        cfg = tg.WalkConfig(p=1.0, dx=0.1, dt=0.1, n_steps=25, n_walkers=500,
-                            seed=1, first_step="up")
+    @pytest.mark.parametrize("p, n_steps, reach, atoms", [
+        (1.0, 25, 2.5, True),    # never flips
+        (0.5, 1, 0.1, True),     # no decision to make
+        (0.0, 25, 0.1, False),   # flips at every decision
+    ], ids=["ballistic", "one-step", "always-flips"])
+    def test_degenerate_walks_are_exact(self, p, n_steps, reach, atoms):
+        cfg = tg.WalkConfig(p=p, dx=0.1, n_steps=n_steps, n_walkers=500, seed=1)
         meas = tg.simulate_walk(cfg)
-        assert meas.atoms == ((2.5, 1.0),)
-        assert np.all(meas.density.values == 0.0)
+        if atoms:
+            assert {x for x, _ in meas.atoms} == {-reach, reach}
+            assert abs(sum(w for _, w in meas.atoms) - 1.0) < 1e-15
+            assert np.all(meas.density.values == 0.0)
+        else:
+            assert meas.atoms == ()
+            mass = meas.density.values * meas.density.grid.dx
+            off = ~np.isclose(np.abs(meas.density.grid.points()), reach)
+            assert np.all(mass[off] == 0.0) and abs(mass.sum() - 1.0) < 1e-12
+
+    def test_whole_lattice_law(self):
+        # p = 0.3, n_steps = 6: about 3.5 flips per walker, so every run
+        # length and flip position of the sampler is exercised
+        p, n_steps, n_walkers = 0.3, 6, 200_000
+        cfg = tg.WalkConfig(p=p, dx=0.1, n_steps=n_steps, n_walkers=n_walkers, seed=4)
+        meas = tg.simulate_walk(cfg)
+        sim = meas.density.values * meas.density.grid.dx
+        for x, w in meas.atoms:
+            sim[0 if x < 0 else -1] += w
+        tv = 0.5 * float(np.abs(sim - walk_law(p, n_steps)).sum())
+        assert tv <= 5 * math.sqrt(sim.size / n_walkers)
+        expect = p ** (n_steps - 1)
+        sigma = math.sqrt(expect * (1 - expect) / n_walkers)
+        assert abs(sum(w for _, w in meas.atoms) - expect) <= 4 * sigma
 
     def test_deterministic_for_fixed_seed(self, medium):
         cfg = tg.walk_config_for(medium, 0.01, 0.5, 3000, seed=42)
@@ -161,8 +201,7 @@ class TestSimulateWalk:
 
 class TestBinnedTV:
     def test_small_run_agrees_roughly(self, medium):
-        cfg = tg.walk_config_for(medium, 2e-3, 1.0, 100_000, seed=11,
-                                 first_step="symmetric")
+        cfg = tg.walk_config_for(medium, 2e-3, 1.0, 100_000, seed=11)
         estimate = tg.simulate_walk(cfg)
         ref_grid = tg.SpaceGrid(-1.25, 2.5 / 2048, 2049)
         reference = tg.point_source_solution("delta_position", 1.0, medium, ref_grid)
