@@ -26,13 +26,6 @@ from .oracles import (DuhamelConfig, ValidationReport, binned_tv_distance,
 from .semigroup import StatePair, evolve
 from .solver import DELTA_KINDS, point_source_solution, solve
 
-SUITES = ("fd", "walk", "duhamel", "semigroup", "all")
-
-
-def _fmt(v: float) -> str:
-    """17 significant digits: round-trippable doubles, '.' decimal point."""
-    return format(float(v), ".17g")
-
 
 @dataclass
 class RunConfig:
@@ -53,103 +46,6 @@ class RunConfig:
         if n < 2:
             raise UsageError(f"grid needs at least 2 points, got n = {n}")
         return SpaceGrid(x0=xmin, dx=(xmax - xmin) / (n - 1), n=n)
-
-
-# option table: dest -> (type, default); None default means "computed later"
-_COMMON = {
-    "k": (float, 1.0),
-    "c": (float, 1.0),
-    "t": (float, 1.0),
-    "out": (str, None),
-    "format": (str, "csv"),
-    "config": (str, None),
-}
-_OPTIONS = {
-    "kernel": {**_COMMON, "xmin": (float, -2.0), "xmax": (float, 2.0), "n": (int, 401)},
-    "solve": {**_COMMON, "xmin": (float, -8.0), "xmax": (float, 8.0), "n": (int, 4097),
-              "init": (str, "gaussian"), "file": (str, None),
-              "f_center": (float, 0.0), "f_width": (float, 1.0),
-              "g_amp": (float, 0.0), "g_center": (float, 0.0), "g_width": (float, 1.0)},
-    "delta": {**_COMMON, "kind": (str, "delta_position"),
-              "xmin": (float, None), "xmax": (float, None), "n": (int, 2049),
-              "mass_panels": (int, 16384)},
-    "validate": {**_COMMON, "suite": (str, "all"), "dx": (float, 1.0 / 512),
-                 "courant": (float, 0.9), "n_walkers": (int, 1_000_000),
-                 "dt_walk": (float, 1e-3), "slabs": (int, 32),
-                 "tol": (float, None), "seed": (int, 7)},
-}
-
-
-def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="telegraph",
-        description="Damped wave equation: kernels, solvers, point-mass "
-                    "measures and validation oracles.")
-    sub = parser.add_subparsers(dest="command", required=True)
-    helps = {
-        "kernel": "tabulate the light-cone kernel and its time derivative",
-        "solve": "solve an initial-value problem on a grid",
-        "delta": "point-mass initial data as an atoms+density measure",
-        "validate": "run oracle suites and report pass/fail",
-    }
-    for command, options in _OPTIONS.items():
-        p = sub.add_parser(command, help=helps[command])
-        for dest, (typ, _default) in options.items():
-            flag = "--" + dest.replace("_", "-")
-            if dest == "format":
-                p.add_argument(flag, choices=("csv", "json"), default=None)
-            elif dest == "kind":
-                p.add_argument(flag, choices=DELTA_KINDS, default=None)
-            elif dest == "suite":
-                p.add_argument(flag, choices=SUITES, default=None)
-            elif dest == "init":
-                p.add_argument(flag, choices=("gaussian", "file"), default=None)
-            else:
-                p.add_argument(flag, type=typ, default=None)
-    return parser
-
-
-def _read_config_file(path: str) -> dict:
-    """Simple key-value text: `name = value`, '#' comments, blank lines ok."""
-    table = {}
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            for lineno, raw in enumerate(fh, 1):
-                line = raw.split("#", 1)[0].strip()
-                if not line:
-                    continue
-                if "=" not in line:
-                    raise UsageError(
-                        f"{path}:{lineno}: expected 'name = value', got {raw.strip()!r}")
-                name, value = line.split("=", 1)
-                table[name.strip().replace("-", "_")] = value.strip()
-    except OSError as exc:
-        raise UsageError(f"cannot read config file {path}: {exc}") from exc
-    return table
-
-
-def merge_config(args: argparse.Namespace) -> RunConfig:
-    """Flags override config-file entries override built-in defaults."""
-    command = args.command
-    options = _OPTIONS[command]
-    file_table = {}
-    if getattr(args, "config", None):
-        file_table = _read_config_file(args.config)
-    values = {}
-    for dest, (typ, default) in options.items():
-        given = getattr(args, dest)
-        if given is not None:
-            values[dest] = given
-        elif dest in file_table:
-            try:
-                values[dest] = typ(file_table[dest])
-            except ValueError as exc:
-                raise UsageError(
-                    f"config value for {dest!r} is not a valid {typ.__name__}: "
-                    f"{file_table[dest]!r}") from exc
-        else:
-            values[dest] = default
-    return RunConfig(command=command, values=values)
 
 
 def _config_echo(cfg: RunConfig) -> dict:
@@ -209,7 +105,7 @@ def _file_data(path: Optional[str]) -> tuple[SampledField, SampledField]:
 # commands
 # ---------------------------------------------------------------------------
 
-def cmd_kernel(cfg: RunConfig) -> tuple[dict, list[str], bool]:
+def cmd_kernel(cfg: RunConfig) -> tuple[dict, bool]:
     medium = cfg.medium()
     grid = cfg.grid()
     t = cfg.values["t"]
@@ -219,26 +115,21 @@ def cmd_kernel(cfg: RunConfig) -> tuple[dict, list[str], bool]:
     dt_vals = np.atleast_1d(time_derivative_regular(x, t, medium))
     if not (np.all(np.isfinite(psi_vals)) and np.all(np.isfinite(dt_vals))):
         raise DomainError("kernel values exceed the float64 range; lower k*|t|")
-    # the time derivative's two Dirac atoms ride the cone edges
-    atom_list = [{"x": -ct, "w": 0.5}, {"x": ct, "w": 0.5}]
     payload = {
         "command": "kernel",
         "config": _config_echo(cfg),
-        "atoms": atom_list,
+        # the time derivative's two Dirac atoms ride the cone edges
+        "atoms": [{"x": -ct, "w": 0.5}, {"x": ct, "w": 0.5}],
         "table": {
             "columns": ["x", "kernel_value", "kernel_dt_regular"],
             "rows": [[float(a), float(b), float(d)]
                      for a, b, d in zip(x, psi_vals, dt_vals)],
         },
     }
-    csv_lines = [f"# atom,{_fmt(a['x'])},{_fmt(a['w'])}" for a in atom_list]
-    csv_lines.append("x,kernel_value,kernel_dt_regular")
-    csv_lines += [f"{_fmt(a)},{_fmt(b)},{_fmt(d)}"
-                  for a, b, d in zip(x, psi_vals, dt_vals)]
-    return payload, csv_lines, True
+    return payload, True
 
 
-def cmd_solve(cfg: RunConfig) -> tuple[dict, list[str], bool]:
+def cmd_solve(cfg: RunConfig) -> tuple[dict, bool]:
     medium = cfg.medium()
     if cfg.values["init"] == "file":
         f, g = _file_data(cfg.values["file"])
@@ -253,12 +144,10 @@ def cmd_solve(cfg: RunConfig) -> tuple[dict, list[str], bool]:
             "rows": [[float(a), float(b)] for a, b in zip(u.x, u.values)],
         },
     }
-    csv_lines = ["x,solution"]
-    csv_lines += [f"{_fmt(a)},{_fmt(b)}" for a, b in zip(u.x, u.values)]
-    return payload, csv_lines, True
+    return payload, True
 
 
-def cmd_delta(cfg: RunConfig) -> tuple[dict, list[str], bool]:
+def cmd_delta(cfg: RunConfig) -> tuple[dict, bool]:
     medium = cfg.medium()
     t = cfg.values["t"]
     if not t > 0:  # before the default grid, which is derived from ct
@@ -282,31 +171,25 @@ def cmd_delta(cfg: RunConfig) -> tuple[dict, list[str], bool]:
         "mass": {"atoms": breakdown.atoms, "density": breakdown.density,
                  "total": breakdown.total},
     }
-    csv_lines = [f"# atom,{_fmt(p)},{_fmt(w)}" for p, w in measure.atoms]
-    csv_lines += [f"# mass,atoms,{_fmt(breakdown.atoms)}",
-                  f"# mass,density,{_fmt(breakdown.density)}",
-                  f"# mass,total,{_fmt(breakdown.total)}",
-                  "x,density"]
-    csv_lines += [f"{_fmt(a)},{_fmt(b)}" for a, b in zip(dens.x, dens.values)]
-    return payload, csv_lines, True
+    return payload, True
 
 
-def _suite_grid(half: float, dx: float) -> SpaceGrid:
-    """Grid on [-half, half] with spacing dx, the half-width rounded to whole cells."""
+def _suite_data(half: float, dx: float) -> tuple[SampledField, SampledField]:
+    """Data f = e^{-x^2}, g = 0 on [-half, half] at spacing dx, the half-width
+    rounded to whole cells."""
     if not (math.isfinite(dx) and dx > 0 and math.isfinite(half)):
         raise UsageError(f"suite grid needs a positive finite dx and a finite "
                          f"half-width, got dx = {dx}, half-width = {half}")
-    return SpaceGrid(-half, dx, int(round(2 * half / dx)) + 1)
+    grid = SpaceGrid(-half, dx, int(round(2 * half / dx)) + 1)
+    return from_function(grid, lambda x: np.exp(-x * x)), zeros(grid)
 
 
 def _suite_fd(cfg: RunConfig) -> list[ValidationReport]:
     medium = cfg.medium()
     t = cfg.values["t"]
-    grid = _suite_grid(8.0, cfg.values["dx"])
-    f = from_function(grid, lambda x: np.exp(-x * x))
-    g = zeros(grid)
+    f, g = _suite_data(8.0, cfg.values["dx"])
     reference = solve(f, g, t, medium)
-    approx = fd_solve(f, g, t, medium, fd_config_for(t, grid, medium, cfg.values["courant"]))
+    approx = fd_solve(f, g, t, medium, fd_config_for(t, f.grid, medium, cfg.values["courant"]))
     tol = cfg.values["tol"] if cfg.values["tol"] is not None else 1e-3
     return [ValidationReport("fd_vs_convolution", "rel_L2",
                              rel_l2_error(approx, reference), tol)]
@@ -335,9 +218,7 @@ def _suite_walk(cfg: RunConfig) -> list[ValidationReport]:
 def _suite_duhamel(cfg: RunConfig) -> list[ValidationReport]:
     medium = cfg.medium()
     t = cfg.values["t"]
-    grid = _suite_grid(max(6.0, 2 * medium.c * t + 4.0), max(cfg.values["dx"], 1.0 / 256))
-    f = from_function(grid, lambda x: np.exp(-x * x))
-    g = zeros(grid)
+    f, g = _suite_data(max(6.0, 2 * medium.c * t + 4.0), max(cfg.values["dx"], 1.0 / 256))
     residual = duhamel_residual(f, g, t, medium,
                                 DuhamelConfig(n_slabs=cfg.values["slabs"]))
     tol = cfg.values["tol"] if cfg.values["tol"] is not None else 1e-4
@@ -348,9 +229,7 @@ def _suite_semigroup(cfg: RunConfig) -> list[ValidationReport]:
     medium = cfg.medium()
     t = cfg.values["t"]
     half = 8.0
-    grid = _suite_grid(half, max(cfg.values["dx"], 1.0 / 256))
-    f = from_function(grid, lambda x: np.exp(-x * x))
-    state = StatePair(f, zeros(grid))
+    state = StatePair(*_suite_data(half, max(cfg.values["dx"], 1.0 / 256)))
     whole = evolve(2 * t, state, medium)
     composed = evolve(t, evolve(t, state, medium), medium)
     window = (-half + 2 * medium.c * t, half - 2 * medium.c * t)
@@ -363,14 +242,17 @@ def _suite_semigroup(cfg: RunConfig) -> list[ValidationReport]:
     ]
 
 
-def cmd_validate(cfg: RunConfig) -> tuple[dict, list[str], bool]:
+#: validate suites in the order ``all`` runs them
+_SUITES = {"fd": _suite_fd, "walk": _suite_walk,
+           "duhamel": _suite_duhamel, "semigroup": _suite_semigroup}
+
+
+def cmd_validate(cfg: RunConfig) -> tuple[dict, bool]:
     suite = cfg.values["suite"]
-    runners = {"fd": _suite_fd, "walk": _suite_walk,
-               "duhamel": _suite_duhamel, "semigroup": _suite_semigroup}
-    names = list(runners) if suite == "all" else [suite]
+    names = list(_SUITES) if suite == "all" else [suite]
     reports: list[ValidationReport] = []
     for name in names:
-        reports.extend(runners[name](cfg))
+        reports.extend(_SUITES[name](cfg))
     payload = {
         "command": "validate",
         "config": _config_echo(cfg),
@@ -378,10 +260,122 @@ def cmd_validate(cfg: RunConfig) -> tuple[dict, list[str], bool]:
                      "tolerance": r.tolerance, "pass": r.passed}
                     for r in reports],
     }
-    csv_lines = ["name,metric,value,tolerance,pass"]
-    csv_lines += [f"{r.name},{r.metric},{_fmt(r.value)},{_fmt(r.tolerance)},"
-                  f"{'true' if r.passed else 'false'}" for r in reports]
-    return payload, csv_lines, all(r.passed for r in reports)
+    return payload, all(r.passed for r in reports)
+
+
+# option table: dest -> (type or tuple of choices, default); a None default
+# means "computed later"
+_COMMON = {
+    "k": (float, 1.0),
+    "c": (float, 1.0),
+    "t": (float, 1.0),
+    "out": (str, None),
+    "format": (("csv", "json"), "csv"),
+    "config": (str, None),
+}
+_OPTIONS = {
+    "kernel": {**_COMMON, "xmin": (float, -2.0), "xmax": (float, 2.0), "n": (int, 401)},
+    "solve": {**_COMMON, "xmin": (float, -8.0), "xmax": (float, 8.0), "n": (int, 4097),
+              "init": (("gaussian", "file"), "gaussian"), "file": (str, None),
+              "f_center": (float, 0.0), "f_width": (float, 1.0),
+              "g_amp": (float, 0.0), "g_center": (float, 0.0), "g_width": (float, 1.0)},
+    "delta": {**_COMMON, "kind": (DELTA_KINDS, "delta_position"),
+              "xmin": (float, None), "xmax": (float, None), "n": (int, 2049),
+              "mass_panels": (int, 16384)},
+    "validate": {**_COMMON, "suite": ((*_SUITES, "all"), "all"), "dx": (float, 1.0 / 512),
+                 "courant": (float, 0.9), "n_walkers": (int, 1_000_000),
+                 "dt_walk": (float, 1e-3), "slabs": (int, 32),
+                 "tol": (float, None), "seed": (int, 7)},
+}
+
+
+def build_parser() -> argparse.ArgumentParser:
+    parser = argparse.ArgumentParser(
+        prog="telegraph",
+        description="Damped wave equation: kernels, solvers, point-mass "
+                    "measures and validation oracles.")
+    sub = parser.add_subparsers(dest="command", required=True)
+    helps = {
+        "kernel": "tabulate the light-cone kernel and its time derivative",
+        "solve": "solve an initial-value problem on a grid",
+        "delta": "point-mass initial data as an atoms+density measure",
+        "validate": "run oracle suites and report pass/fail",
+    }
+    for command, options in _OPTIONS.items():
+        p = sub.add_parser(command, help=helps[command])
+        for dest, (kind, _default) in options.items():
+            rule = {"choices": kind} if isinstance(kind, tuple) else {"type": kind}
+            p.add_argument("--" + dest.replace("_", "-"), default=None, **rule)
+    return parser
+
+
+def _read_config_file(path: str) -> dict:
+    """Simple key-value text: `name = value`, '#' comments, blank lines ok."""
+    table = {}
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            for lineno, raw in enumerate(fh, 1):
+                line = raw.split("#", 1)[0].strip()
+                if not line:
+                    continue
+                if "=" not in line:
+                    raise UsageError(
+                        f"{path}:{lineno}: expected 'name = value', got {raw.strip()!r}")
+                name, value = line.split("=", 1)
+                table[name.strip().replace("-", "_")] = value.strip()
+    except OSError as exc:
+        raise UsageError(f"cannot read config file {path}: {exc}") from exc
+    return table
+
+
+def _config_value(dest: str, kind, text: str):
+    """A config-file value, checked against the option's type or choices."""
+    if isinstance(kind, tuple):
+        if text not in kind:
+            raise UsageError(f"config value for {dest!r} must be one of "
+                             f"{', '.join(kind)}, got {text!r}")
+        return text
+    try:
+        return kind(text)
+    except ValueError as exc:
+        raise UsageError(f"config value for {dest!r} is not a valid "
+                         f"{kind.__name__}: {text!r}") from exc
+
+
+def merge_config(args: argparse.Namespace) -> RunConfig:
+    """Flags override config-file entries override built-in defaults."""
+    command = args.command
+    options = _OPTIONS[command]
+    file_table = {}
+    if getattr(args, "config", None):
+        file_table = _read_config_file(args.config)
+        for name in file_table:
+            if name not in options:
+                raise UsageError(f"{args.config}: {name!r} is not an option of {command}")
+    values = {}
+    for dest, (kind, default) in options.items():
+        given = getattr(args, dest)
+        if given is not None:
+            values[dest] = given
+        elif dest in file_table:
+            values[dest] = _config_value(dest, kind, file_table[dest])
+        else:
+            values[dest] = default
+    return RunConfig(command=command, values=values)
+
+
+def _csv(payload: dict) -> str:
+    """A kernel, solve or delta document as CSV: '# atom,' and '# mass,' lines,
+    then the table (delta's density has columns x,density).  Numbers carry 17
+    significant digits: round-trippable doubles, '.' decimal point."""
+    lines = [f"# atom,{a['x']:.17g},{a['w']:.17g}" for a in payload.get("atoms", ())]
+    lines += [f"# mass,{part},{m:.17g}" for part, m in payload.get("mass", {}).items()]
+    table = payload.get("table") or {
+        "columns": ["x", "density"], "rows": [(p["x"], p["v"]) for p in payload["density"]]}
+    row = ",".join(["{:.17g}"] * len(table["columns"])).format
+    lines.append(",".join(table["columns"]))
+    lines += [row(*r) for r in table["rows"]]
+    return "\n".join(lines) + "\n"
 
 
 def main(argv=None) -> int:
@@ -391,7 +385,7 @@ def main(argv=None) -> int:
         cfg = merge_config(args)
         runner = {"kernel": cmd_kernel, "solve": cmd_solve,
                   "delta": cmd_delta, "validate": cmd_validate}[cfg.command]
-        payload, csv_lines, ok = runner(cfg)
+        payload, ok = runner(cfg)
     except (UsageError, DomainError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
@@ -404,7 +398,7 @@ def main(argv=None) -> int:
             print(f"error: {exc}", file=sys.stderr)
             return 2
     else:
-        text = "\n".join(csv_lines) + "\n"
+        text = _csv(payload)
     out_path = cfg.values.get("out")
     if out_path:
         try:

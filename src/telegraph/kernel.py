@@ -77,7 +77,13 @@ def _cone_combination(x, t: float, medium: MediumParams, w_psi: float, w_reg: fl
         raise DomainError(f"time must be finite, got {t!r}")
     if not np.all(np.isfinite(x)):
         raise DomainError("positions must be finite")
-    lam, boundary, inside = _masks(x, t, medium.c)
+    out = _combine(x, t, medium, *_masks(x, t, medium.c), w_psi, w_reg, w_dip)
+    return float(out[0]) if scalar else out
+
+
+def _combine(x: np.ndarray, t: float, medium: MediumParams, lam, boundary, inside,
+             w_psi: float, w_reg: float, w_dip: float) -> np.ndarray:
+    """_cone_combination's values at points x that _masks has classified."""
     out = np.zeros_like(x)
     if w_psi != 0.0:
         edge = (math.copysign(1.0, t) if t != 0.0 else 0.0) / (2.0 * medium.c)
@@ -91,7 +97,7 @@ def _cone_combination(x, t: float, medium: MediumParams, w_psi: float, w_reg: fl
         ct = medium.c * t
         reg *= (w_reg * ct - w_dip * x[supported]) / ct if w_dip != 0.0 else w_reg
         out[supported] += reg
-    return float(out[0]) if scalar else out
+    return out
 
 
 def fundamental_solution(x, t: float, medium: MediumParams):

@@ -42,7 +42,8 @@ import numpy as np
 from .errors import DomainError, UsageError
 from .fields import (MixedMeasure, SampledField, SpaceGrid, _outside_support, _window_sum,
                      sample_shifted)
-from .kernel import MediumParams, _cone_combination, _cone_kernel_weights, _masks
+from .kernel import (MediumParams, _combine, _cone_combination, _cone_kernel_weights,
+                     _masks)
 from .quadrature import panel_count, simpson_nodes_weights
 
 #: Point data at the origin as rows (a, b, d): f = a delta, g = b delta + d c delta'.
@@ -175,9 +176,9 @@ def point_source_solution(kind: str, t: float, medium: MediumParams,
         return damp * _cone_combination(x, t, medium, w_psi, a, d)
 
     x = grid.points()
-    inside = _masks(x, t, medium.c)[2]
-    samples = np.zeros(grid.n)
-    samples[inside] = density_fn(x[inside])
+    lam, _, inside = _masks(x, t, medium.c)
+    # density_fn on the grid, classified once; the edge points get no sample
+    samples = damp * _combine(x, t, medium, lam, np.zeros_like(inside), inside, w_psi, a, d)
     return MixedMeasure(
         atoms=atoms,
         density=SampledField(grid, samples),

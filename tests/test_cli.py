@@ -70,7 +70,7 @@ class TestKernelCommand:
 
     def test_non_finite_json_payload_is_exit_2(self, capsys, monkeypatch):
         monkeypatch.setattr("telegraph.cli.cmd_kernel",
-                            lambda cfg: ({"value": math.inf}, [], True))
+                            lambda cfg: ({"value": math.inf}, True))
         code, out, err = run_cli(["kernel", "--format", "json"], capsys)
         assert code == 2
         assert out == ""
@@ -164,6 +164,42 @@ class TestDeltaCommand:
         assert "x,density" in lines
 
 
+def _csv_document(text):
+    """(atoms, mass, columns, rows) of a CSV document, numbers parsed."""
+    atoms, mass, body = [], {}, []
+    for line in text.splitlines():
+        if line.startswith("# atom,"):
+            atoms.append([float(v) for v in line.split(",")[1:]])
+        elif line.startswith("# mass,"):
+            _, part, value = line.split(",")
+            mass[part] = float(value)
+        else:
+            body.append(line.split(","))
+    return atoms, mass, body[0], [[float(v) for v in row] for row in body[1:]]
+
+
+@pytest.mark.parametrize("argv", [
+    ["kernel", "--k", "2", "--t", "1.5", "--n", "33"],
+    ["solve", "--n", "65", "--g-amp", "1", "--t", "0.7"],
+    *(["delta", "--kind", kind, "--k", "1.5", "--n", "65"]
+      for kind in ("delta_position", "delta_velocity", "financial")),
+])
+def test_csv_and_json_carry_the_same_numbers(capsys, argv):
+    code, text, _ = run_cli(argv, capsys)
+    assert code == 0
+    atoms, mass, columns, rows = _csv_document(text)
+    code, out, _ = run_cli(argv + ["--format", "json"], capsys)
+    assert code == 0
+    doc = json.loads(out)
+    assert atoms == [[a["x"], a["w"]] for a in doc.get("atoms", [])]
+    assert mass == doc.get("mass", {})
+    if "table" in doc:
+        assert (columns, rows) == (doc["table"]["columns"], doc["table"]["rows"])
+    else:
+        assert columns == ["x", "density"]
+        assert rows == [[p["x"], p["v"]] for p in doc["density"]]
+
+
 class TestValidateCommand:
     def test_fd_suite_passes(self, capsys, schema):
         code, out, _ = run_cli(["validate", "--suite", "fd", "--k", "1",
@@ -249,6 +285,21 @@ class TestConfigHandling:
         cfg.write_text("this line has no equals sign\n")
         code, _, _ = run_cli(["kernel", "--config", str(cfg)], capsys)
         assert code == 2
+
+    @pytest.mark.parametrize("command,entry", [
+        ("validate", "suite = bogus"),
+        ("kernel", "format = xml"),
+        ("solve", "init = bogus"),
+        ("kernel", "xmni = 0"),
+    ])
+    def test_bad_config_entry_exits_2(self, capsys, tmp_path, command, entry):
+        # file values get the flags' choice checks, and unknown keys are errors
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(entry + "\n")
+        code, out, err = run_cli([command, "--config", str(cfg)], capsys)
+        assert code == 2
+        assert err.startswith("error:") and entry.split(" =")[0] in err
+        assert out == ""
 
     def test_unparseable_value_exits_2(self, capsys, tmp_path):
         cfg = tmp_path / "run.cfg"
