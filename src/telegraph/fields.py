@@ -100,6 +100,8 @@ def sample_shifted(f: SampledField, offset: float) -> np.ndarray:
     grid, zero outside.  An offset that is an exact multiple of dx reduces
     to an index shift with no arithmetic on the values.
     """
+    if not math.isfinite(offset):
+        raise DomainError(f"shift must be finite, got {offset!r}")
     g = f.grid
     n = g.n
     pos = offset / g.dx
@@ -228,6 +230,9 @@ def l2_norm(f: SampledField) -> float:
 def derivative_x(f: SampledField) -> SampledField:
     """Second-order spatial derivative: central inside, one-sided at the ends."""
     v = f.values
+    if v.size < 3:
+        raise UsageError(f"derivative_x needs at least 3 grid points (second-order "
+                         f"end formula), got {v.size}")
     dx = f.grid.dx
     d = np.empty_like(v)
     d[1:-1] = (v[2:] - v[:-2]) / (2.0 * dx)

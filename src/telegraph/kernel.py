@@ -9,8 +9,9 @@ transformed problem is supported on the closed light cone |x| <= c|t|:
 
 odd in t, even in x, equal to sgn(t)/(2c) on the characteristics.  Its
 time derivative splits into two Dirac atoms of weight 1/2 riding the
-cone boundary (at x = -ct and x = +ct) plus a bounded density inside;
-this module alone evaluates the kernel and that density, for all real times.
+cone boundary (at x = -ct and x = +ct) plus a bounded density inside.
+One evaluator, ``_cone_values``, computes both for all real times: at
+points, in the solver's point-data rows and at ``solver._cone_window``'s nodes.
 """
 
 from __future__ import annotations
@@ -45,6 +46,13 @@ class MediumParams:
         object.__setattr__(self, "alpha", self.k / (4.0 * self.c))
 
 
+def _check_time(t: float) -> float:
+    t = float(t)
+    if not math.isfinite(t):
+        raise DomainError(f"time must be finite, got {t!r}")
+    return t
+
+
 def _masks(x: np.ndarray, t: float, c: float):
     radius = c * abs(t)
     lam = radius * radius - x * x
@@ -63,41 +71,45 @@ def _masks(x: np.ndarray, t: float, c: float):
     return lam, np.abs(lam_n) <= tol, lam_n > tol
 
 
-def _cone_combination(x, t: float, medium: MediumParams, w_psi: float, w_reg: float,
-                      w_dip: float):
-    """w_psi psi + w_reg psi_t,reg + w_dip c psi_x at positions x (scalar or array).
+def _cone_values(x: np.ndarray, lam: np.ndarray, t: float, medium: MediumParams,
+                 w_psi: float, w_reg: float, w_dip: float, edge=None) -> np.ndarray:
+    """w_psi psi + w_reg psi_t,reg + w_dip c psi_x at points x of the closed cone.
 
-    c psi_x is taken inside the closed cone, where it is -(x/(ct)) psi_t,reg;
-    its atoms on the cone edges are the caller's.  A term of zero weight
-    costs no Bessel evaluation.
+    lam = c^2 t^2 - x^2 is the caller's, clipped at 0 here.  psi takes its
+    edge value sgn(t)/(2c) on the points of the mask edge; psi_t,reg keeps
+    each point's own lam.  c psi_x is -(x/(ct)) psi_t,reg, its edge atoms
+    the caller's.  A term of zero weight costs no Bessel evaluation.
     """
-    scalar = np.isscalar(x) or np.ndim(x) == 0
-    x = np.atleast_1d(np.asarray(x, dtype=float))
-    if not math.isfinite(t):
-        raise DomainError(f"time must be finite, got {t!r}")
-    if not np.all(np.isfinite(x)):
-        raise DomainError("positions must be finite")
-    out = _combine(x, t, medium, *_masks(x, t, medium.c), w_psi, w_reg, w_dip)
-    return float(out[0]) if scalar else out
-
-
-def _combine(x: np.ndarray, t: float, medium: MediumParams, lam, boundary, inside,
-             w_psi: float, w_reg: float, w_dip: float) -> np.ndarray:
-    """_cone_combination's values at points x that _masks has classified."""
-    out = np.zeros_like(x)
+    arg = 2.0 * medium.alpha * np.sqrt(np.maximum(lam, 0.0))
+    out = 0.0
     if w_psi != 0.0:
-        edge = (math.copysign(1.0, t) if t != 0.0 else 0.0) / (2.0 * medium.c)
-        out[boundary] = w_psi * edge
-        out[inside] = w_psi * (edge * bessel.i0_array(2.0 * medium.alpha
-                                                      * np.sqrt(lam[inside])))
+        edge_value = (math.copysign(1.0, t) if t != 0.0 else 0.0) / (2.0 * medium.c)
+        out = edge_value * bessel.i0_array(arg)
+        if edge is not None:
+            out[edge] = edge_value
+        out *= w_psi
     if w_reg != 0.0 or w_dip != 0.0:
-        supported = boundary | inside
-        arg = 2.0 * medium.alpha * np.sqrt(np.maximum(lam[supported], 0.0))
         reg = (2.0 * medium.alpha ** 2 * medium.c * abs(t)) * bessel.i1_over_z_array(arg)
         ct = medium.c * t
-        reg *= (w_reg * ct - w_dip * x[supported]) / ct if w_dip != 0.0 else w_reg
-        out[supported] += reg
+        reg *= (w_reg * ct - w_dip * x) / ct if w_dip != 0.0 else w_reg
+        out += reg
     return out
+
+
+def _cone_combination(x, t: float, medium: MediumParams, w_psi: float, w_reg: float,
+                      w_dip: float):
+    """``_cone_values`` at positions x (scalar or array), zero off the closed cone."""
+    scalar = np.isscalar(x) or np.ndim(x) == 0
+    x = np.atleast_1d(np.asarray(x, dtype=float))
+    t = _check_time(t)
+    if not np.all(np.isfinite(x)):
+        raise DomainError("positions must be finite")
+    lam, boundary, inside = _masks(x, t, medium.c)
+    supported = boundary | inside
+    out = np.zeros_like(x)
+    out[supported] = _cone_values(x[supported], lam[supported], t, medium,
+                                  w_psi, w_reg, w_dip, boundary[supported])
+    return float(out[0]) if scalar else out
 
 
 def fundamental_solution(x, t: float, medium: MediumParams):
@@ -118,18 +130,3 @@ def time_derivative_regular(x, t: float, medium: MediumParams):
     Zero outside the cone; even in t.
     """
     return _cone_combination(x, t, medium, 0.0, 1.0, 0.0)
-
-
-def _cone_kernel_weights(t: float, medium: MediumParams, offsets: np.ndarray):
-    """Kernel factors at quadrature offsets y - x over the cone window.
-
-    Returns (ft_weight, f0_weight): the window-position-dependent factors
-    multiplying f (time-derivative kernel density) and g + (k/2) f
-    (kernel itself, odd in t).
-    """
-    lam = np.maximum((medium.c * t) ** 2 - offsets ** 2, 0.0)
-    arg = 2.0 * medium.alpha * np.sqrt(lam)
-    sgn = math.copysign(1.0, t)
-    ft = (2.0 * medium.alpha ** 2 * medium.c * abs(t)) * bessel.i1_over_z_array(arg)
-    f0 = (sgn / (2.0 * medium.c)) * bessel.i0_array(arg)
-    return ft, f0

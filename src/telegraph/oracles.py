@@ -130,8 +130,8 @@ class WalkConfig:
             raise UsageError("dx must be positive")
         if self.n_steps < 1 or self.n_walkers < 1:
             raise UsageError("need at least one step and one walker")
-        if self.seed < 0:
-            raise UsageError(f"seed must be nonnegative, got {self.seed}")
+        if not isinstance(self.seed, (int, np.integer)) or self.seed < 0:
+            raise UsageError(f"seed must be a nonnegative integer, got {self.seed!r}")
 
 
 def walk_config_for(medium: MediumParams, dt: float, t_final: float,

@@ -41,10 +41,11 @@ def simpson_pattern(n_sub: int) -> np.ndarray:
 
 def simpson_nodes_weights(a: float, b: float, n_sub: int) -> tuple[np.ndarray, np.ndarray]:
     """Nodes and weights of composite Simpson on [a, b] with n_sub subintervals."""
+    pattern = simpson_pattern(n_sub)
     h = (b - a) / n_sub
     nodes = a + h * np.arange(n_sub + 1)
     nodes[-1] = b
-    return nodes, simpson_pattern(n_sub) * (h / 3.0)
+    return nodes, pattern * (h / 3.0)
 
 
 def composite_simpson(fn, a: float, b: float, n_sub: int) -> float:

@@ -12,24 +12,14 @@ either sign of t, which is what ``solve_rescaled`` returns.
 
 Quadrature is composite Simpson on the cone window; the integrands are
 continuous up to the window endpoints (the I1 term is evaluated through
-I1(w)/w), so no singular treatment is required.  Field values between
-grid points come from cubic interpolation.  Each window integral is one
-folded stencil (``fields._window_sum``): Simpson weight x kernel factor x
-the 4 cubic-Lagrange weights of every node are summed onto integer grid
-offsets once and applied by one direct correlation, not an FFT, so
-points the cone never reaches stay exactly zero.  Edge rule: a node whose
-sampled point lies off the grid contributes 0, even where its 4-point
-stencil still touches the grid, so a cone that reaches past the grid
-sees zero data there.  The accumulation order is fixed, so results do
-not depend on how work is scheduled.
+I1(w)/w), so no singular treatment is required.  ``_cone_window`` builds
+every K and K_t window: the Simpson nodes, their kernel factors from the
+kernel module's one evaluator, and ``fields._window_sum``, which applies
+them with cubic interpolation as one folded stencil in a fixed order (its
+docstring gives the edge rule: a node sampled off the grid adds 0).
 
-Point data f = a delta, g = b delta + d c delta' at the origin need no
-quadrature: with K = psi and K_t = [delta(x+ct) + delta(x-ct)]/2 + psi_t,reg,
-u = e^{-kt/2} [K_t * f + K * (g + k f/2)] is e^{-kt/2} times atoms (a+d)/2
-at -ct and (a-d)/2 at +ct plus the density (a - d x/(ct)) psi_t,reg +
-(b + k a/2) psi, as c psi_x = -(x/(ct)) psi_t,reg inside the cone.  The
-kinds of ``point_source_solution`` are the rows (a, b, d) = (1, 0, 0)
-delta_position, (0, 1, 0) delta_velocity and (1, 0, -1) financial.
+Point data at the origin need no quadrature: ``point_source_solution``
+gives each kind's atoms and density in closed form.
 """
 
 from __future__ import annotations
@@ -42,8 +32,7 @@ import numpy as np
 from .errors import DomainError, UsageError
 from .fields import (MixedMeasure, SampledField, SpaceGrid, _outside_support, _window_sum,
                      sample_shifted)
-from .kernel import (MediumParams, _combine, _cone_combination, _cone_kernel_weights,
-                     _masks)
+from .kernel import MediumParams, _check_time, _cone_combination, _cone_values, _masks
 from .quadrature import panel_count, simpson_nodes_weights
 
 #: Point data at the origin as rows (a, b, d): f = a delta, g = b delta + d c delta'.
@@ -64,26 +53,35 @@ def _require_shared_grid(f: SampledField, g: SampledField) -> SpaceGrid:
     return f.grid
 
 
-def _check_time(t: float) -> float:
-    t = float(t)
-    if not math.isfinite(t):
-        raise DomainError(f"time must be finite, got {t!r}")
-    return t
+def _cone_window(f: SampledField, t: float, medium: MediumParams, n_sub: int,
+                 kernel_dt: bool, *, edge_atoms: bool = False,
+                 out_grid: Optional[SpaceGrid] = None) -> np.ndarray:
+    """Simpson sum over |y| <= c|t| of psi(y) f(x - y), or psi_t,reg with kernel_dt.
+
+    edge_atoms adds K_t's atoms of weight 1/2 on the end nodes -+ c|t| (at
+    t = 0 every Simpson weight is 0 and they sum to a delta).  Values are
+    at the points x of out_grid, default f's grid.
+    """
+    radius = medium.c * abs(t)
+    offsets, weights = simpson_nodes_weights(-radius, radius, n_sub)
+    lam = (medium.c * t) ** 2 - offsets ** 2
+    w_psi, w_reg = (0.0, 1.0) if kernel_dt else (1.0, 0.0)
+    stencil = weights * _cone_values(offsets, lam, t, medium, w_psi, w_reg, 0.0)
+    if edge_atoms:
+        stencil[0] += 0.5
+        stencil[-1] += 0.5
+    return _window_sum(f, offsets, stencil, out_grid)
 
 
 def _rescaled_values(f: SampledField, g: SampledField, t: float,
                      medium: MediumParams, n_sub: int) -> np.ndarray:
-    grid = f.grid
     if t == 0.0:
         return f.values.copy()
     radius = medium.c * abs(t)
-    geff = SampledField(grid, g.values + 0.5 * medium.k * f.values)
-    offsets, weights = simpson_nodes_weights(-radius, radius, n_sub)
-    ft_w, f0_w = _cone_kernel_weights(t, medium, offsets)
-
+    geff = SampledField(f.grid, g.values + 0.5 * medium.k * f.values)
     out = 0.5 * (sample_shifted(f, radius) + sample_shifted(f, -radius))
-    out += _window_sum(f, offsets, weights * ft_w)
-    out += _window_sum(geff, offsets, weights * f0_w)
+    out += _cone_window(f, t, medium, n_sub, kernel_dt=True)
+    out += _cone_window(geff, t, medium, n_sub, kernel_dt=False)
     return out
 
 
@@ -102,22 +100,29 @@ def solve_rescaled(f: SampledField, g: SampledField, t: float, medium: MediumPar
     result = SampledField(grid, vals)
     if not error_estimate:
         return result
-    if t == 0.0:
-        return result, 0.0
     coarse = _rescaled_values(f, g, t, medium, max(2, n_sub // 2 + (n_sub // 2) % 2))
     return result, float(np.max(np.abs(vals - coarse)) / 15.0)
 
 
 def solve(f: SampledField, g: SampledField, t: float, medium: MediumParams,
           *, error_estimate: bool = False):
-    """Solution u(., t) of u_tt + k u_t = c^2 u_xx with data (f, g)."""
+    """Solution u(., t) of u_tt + k u_t = c^2 u_xx with data (f, g).
+
+    DomainError where t < 0 makes e^{-kt/2}, or u, overflow float64.
+    """
     t = _check_time(t)
-    damp = math.exp(-0.5 * medium.k * t)
+    exponent = -0.5 * medium.k * t
+    if exponent > math.log(np.finfo(float).max):
+        raise DomainError(f"e^(-kt/2) = e^{exponent:g} overflows float64 at t = {t}")
+    damp = math.exp(exponent)
     if error_estimate:
         v, err = solve_rescaled(f, g, t, medium, error_estimate=True)
-        return SampledField(v.grid, damp * v.values), damp * err
-    v = solve_rescaled(f, g, t, medium)
-    return SampledField(v.grid, damp * v.values)
+    else:
+        v, err = solve_rescaled(f, g, t, medium), 0.0
+    if exponent > 0.0 and not math.isfinite(damp * float(np.max(np.abs(v.values)))):
+        raise DomainError(f"u(., {t}) overflows float64, e^(-kt/2) = e^{exponent:g}")
+    u = SampledField(v.grid, damp * v.values)
+    return (u, damp * err) if error_estimate else u
 
 
 def velocity(f: SampledField, g: SampledField, t: float, medium: MediumParams,
@@ -178,7 +183,8 @@ def point_source_solution(kind: str, t: float, medium: MediumParams,
     x = grid.points()
     lam, _, inside = _masks(x, t, medium.c)
     # density_fn on the grid, classified once; the edge points get no sample
-    samples = damp * _combine(x, t, medium, lam, np.zeros_like(inside), inside, w_psi, a, d)
+    samples = np.zeros(grid.n)
+    samples[inside] = damp * _cone_values(x[inside], lam[inside], t, medium, w_psi, a, d)
     return MixedMeasure(
         atoms=atoms,
         density=SampledField(grid, samples),
@@ -227,27 +233,17 @@ def convolve_measure(m: MixedMeasure, t: float, medium: MediumParams, which: str
     dens = np.zeros(out_grid.n)
     atoms_out: list[tuple[float, float]] = []
 
+    kernel_dt = which == "kernel_dt"
     for pos, w in m.atoms:
-        if which == "kernel":
-            dens += _cone_combination(x - pos, t, medium, w, 0.0, 0.0)
-        else:
-            ct = medium.c * t
-            atoms_out.append((pos - ct, 0.5 * w))
-            atoms_out.append((pos + ct, 0.5 * w))
-            dens += _cone_combination(x - pos, t, medium, 0.0, w, 0.0)
+        if kernel_dt:
+            atoms_out += [(pos - medium.c * t, 0.5 * w), (pos + medium.c * t, 0.5 * w)]
+        w_psi, w_reg = (0.0, w) if kernel_dt else (w, 0.0)
+        dens += _cone_combination(x - pos, t, medium, w_psi, w_reg, 0.0)
 
     if m.density is not None:
-        d = m.density
-        offsets, weights = simpson_nodes_weights(-radius, radius,
-                                                 panel_count(2 * radius, d.grid.dx))
-        ft_w, f0_w = _cone_kernel_weights(t, medium, offsets)
-        stencil = weights * (ft_w if which == "kernel_dt" else f0_w)
-        if which == "kernel_dt":
-            # the derivative kernel's atoms of weight 1/2 sit on the end nodes
-            # -+ radius; at t = 0 every Simpson weight is 0 and they sum to a delta
-            stencil[0] += 0.5
-            stencil[-1] += 0.5
-        dens += _window_sum(d, offsets, stencil, out_grid)
+        n_sub = panel_count(2 * radius, m.density.grid.dx)
+        dens += _cone_window(m.density, t, medium, n_sub, kernel_dt, edge_atoms=kernel_dt,
+                             out_grid=out_grid)
 
     new_lo = min([lo] + [p for p, _ in m.atoms], default=lo) - radius
     new_hi = max([hi] + [p for p, _ in m.atoms], default=hi) + radius

@@ -248,6 +248,12 @@ class TestOutOfDomainInput:
         ["validate", "--suite", "walk", "--seed", "-1"],
         # c*t >= 4 leaves the semigroup comparison window empty
         ["validate", "--suite", "semigroup", "--t", "5"],
+        # at t < 0, e^{-kt/2} itself, or e^{-kt/2} times the field, overflows float64
+        ["solve", "--t", "-20", "--k", "100", "--n", "257"],
+        ["solve", "--t", "-10", "--k", "140", "--n", "257"],
+        # Simpson needs an even panel count >= 2
+        ["delta", "--mass-panels", "0"],
+        ["delta", "--mass-panels", "-4"],
     ])
     def test_usage_error_exits_2(self, capsys, argv):
         code, out, err = run_cli(argv, capsys)

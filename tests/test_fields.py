@@ -97,6 +97,12 @@ class TestInterpolation:
         assert np.all(shifted[exterior] == 0.0)
         assert np.all(pointwise[exterior] == 0.0)
 
+    @pytest.mark.parametrize("offset", [math.nan, math.inf, -math.inf])
+    def test_non_finite_shift_rejected(self, offset):
+        f = tg.from_function(tg.SpaceGrid(-2.0, 0.25, 17), np.cos)
+        with pytest.raises(tg.DomainError, match="finite"):
+            tg.sample_shifted(f, offset)
+
 
 class TestNormsAndDerivative:
     def test_l2_of_constant(self):
@@ -111,6 +117,11 @@ class TestNormsAndDerivative:
         f = tg.from_function(g, lambda x: a + b * x + c * x**2)
         expected = b + 2 * c * g.points()
         assert np.allclose(tg.derivative_x(f).values, expected, atol=1e-12)
+
+    def test_two_point_grid_rejected(self):
+        f = tg.SampledField(tg.SpaceGrid(0.0, 0.5, 2), np.array([1.0, 2.0]))
+        with pytest.raises(tg.UsageError, match="at least 3 grid points"):
+            tg.derivative_x(f)
 
 
 class TestMixedMeasure:

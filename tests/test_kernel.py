@@ -42,6 +42,15 @@ class TestConeClassification:
     def test_origin(self, medium):
         assert tg.fundamental_solution(0.0, 0.0, medium) == 0.0
 
+    def test_edge_rule_within_the_tolerance(self):
+        # x = ct(1 - 1e-13) lies on the edge by the CONE_EPS rule: psi takes
+        # its exact edge value, psi_t,reg its own lam (alpha^2 c t = 122500 at lam = 0)
+        m = tg.MediumParams(k=1400.0, c=1.0)
+        x = 1.0 - 1e-13
+        assert tg.fundamental_solution(x, 1.0, m) == 0.5
+        assert tg.fundamental_solution(x, -1.0, m) == -0.5
+        assert 1e-8 < tg.time_derivative_regular(x, 1.0, m) / 122500.0 - 1.0 < 3e-8
+
 
 class TestKernelValues:
     def test_empty_support_at_t0(self, medium):
@@ -165,6 +174,13 @@ class TestInteriorPde:
             d2t = (psi(x, t + h, m) - 2 * val + psi(x, t - h, m)) / h**2
             d2x = (psi(x + h, t, m) - 2 * val + psi(x - h, t, m)) / h**2
             assert abs(d2t - c * c * d2x - 0.25 * k * k * val) < 1e-4
+
+
+class TestCompositeSimpson:
+    @pytest.mark.parametrize("n_sub", [0, -4])
+    def test_bad_panel_count_rejected(self, n_sub):
+        with pytest.raises(tg.UsageError, match="even subinterval count"):
+            composite_simpson(np.cos, 0.0, 1.0, n_sub)
 
 
 class TestKernelMass:

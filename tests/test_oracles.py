@@ -125,6 +125,10 @@ class TestWalkParams:
         with pytest.raises(tg.UsageError):
             tg.WalkConfig(p=0.5, dx=0.1, n_steps=4, n_walkers=10, seed=-1)
 
+    def test_fractional_seed_rejected(self):
+        with pytest.raises(tg.UsageError, match="integer"):
+            tg.WalkConfig(p=0.5, dx=0.1, n_steps=4, n_walkers=10, seed=1.5)
+
 
 class TestSimulateWalk:
     @pytest.mark.parametrize("p, n_steps, reach, atoms", [

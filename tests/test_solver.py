@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import telegraph as tg
-from telegraph import kernel, oracles, solver
+from telegraph import oracles, solver
 from telegraph.bessel import i0_array, i1_over_z_array
 from telegraph.quadrature import panel_count, simpson_nodes_weights, simpson_pattern
 
@@ -316,7 +316,8 @@ def cone_nodes(t, medium, dx, n_sub=None):
     h = 2 * radius / n_sub
     offsets = -radius + h * np.arange(n_sub + 1)
     offsets[-1] = radius
-    ft_w, f0_w = kernel._cone_kernel_weights(t, medium, offsets)
+    ft_w = tg.time_derivative_regular(offsets, t, medium)
+    f0_w = tg.fundamental_solution(offsets, t, medium)
     return offsets, simpson_pattern(n_sub) * (h / 3.0), ft_w, f0_w
 
 
