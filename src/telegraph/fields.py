@@ -130,6 +130,8 @@ def sample_shifted(f: SampledField, offset: float) -> np.ndarray:
 def sample_at(f: SampledField, xq) -> np.ndarray:
     """Values of f at arbitrary query points (cubic inside, zero outside)."""
     xq = np.asarray(xq, dtype=float)
+    if not np.all(np.isfinite(xq)):
+        raise DomainError("query points must be finite")
     g = f.grid
     pos = (xq - g.x0) / g.dx
     valid = (pos >= 0.0) & (pos <= g.n - 1)

@@ -128,8 +128,9 @@ class WalkConfig:
             raise UsageError(f"repeat probability must lie in [0,1], got {self.p}")
         if self.dx <= 0:
             raise UsageError("dx must be positive")
-        if self.n_steps < 1 or self.n_walkers < 1:
-            raise UsageError("need at least one step and one walker")
+        counts = (self.n_steps, self.n_walkers)
+        if not all(isinstance(n, (int, np.integer)) and n >= 1 for n in counts):
+            raise UsageError(f"step and walker counts must be integers >= 1, got {counts}")
         if not isinstance(self.seed, (int, np.integer)) or self.seed < 0:
             raise UsageError(f"seed must be a nonnegative integer, got {self.seed!r}")
 

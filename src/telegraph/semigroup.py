@@ -2,8 +2,9 @@
 
 The solution operator maps (u, u_t) at time 0 to (u, u_t) at time t >= 0;
 it satisfies the one-sided semigroup law, identity at t = 0 and
-composition across sums of times, up to the solver's quadrature and
-velocity-probe error.
+composition across sums of times, up to quadrature error and ``velocity``'s
+fourth-order f_xx.  Values within c t + 3dx of a grid end where the state
+is nonzero are not meaningful (fields are extended by zero).
 """
 
 from __future__ import annotations

@@ -8,9 +8,10 @@ s = sqrt(k^2/4 - c^2 xi^2) (imaginary for |xi| > k/(2c))
     u_t^(xi, t) = -c^2 xi^2 f^(xi) e^{-kt/2} sinh(st)/s,
 
 with f^(xi) = sqrt(pi) exp(-xi^2/4).  The norms follow from
-||v||^2 = (1/2pi) int |v^(xi)|^2 dxi.  The centred difference
-(v(x+dx) - v(x-dx)) / (2 dx) has the symbol i sin(xi dx)/dx, which
-replaces i xi when a grid spacing is given.
+||v||^2 = (1/2pi) int |v^(xi)|^2 dxi, and pointwise values from
+v(x) = (1/2pi) int v^(xi) cos(xi x) dxi (every v^ here is even).  The
+centred difference (v(x+dx) - v(x-dx)) / (2 dx) has the symbol
+i sin(xi dx)/dx, which replaces i xi when a grid spacing is given.
 
 The integrands are analytic and decay like exp(-xi^2/2), so the trapezoid
 rule on a wide symmetric xi-grid converges spectrally.  This module uses
@@ -48,3 +49,25 @@ def gaussian_norms(t: float, k: float, c: float = 1.0, dx: float | None = None):
         return math.sqrt(np.trapezoid(v_hat * v_hat, dx=XI_STEP) / (2.0 * math.pi))
 
     return norm(u_hat), norm(ut_hat), norm(deriv * u_hat)
+
+
+def gaussian_velocity(x, t: float, k: float, c: float = 1.0) -> np.ndarray:
+    """u_t at the points x and time t for f = exp(-x^2), g = 0.
+
+    e^{-kt/2} sinh(st)/s is summed as (e^{(s-k/2)t} - e^{(-s-k/2)t}) / 2s,
+    which stays finite where sinh(st) alone would overflow.
+    """
+    n = int(round(XI_MAX / XI_STEP))
+    xi = XI_STEP * np.arange(-n, n + 1)
+    s = np.sqrt((0.25 * k * k - (c * xi) ** 2).astype(complex))
+    at_zero = s == 0
+    s_safe = np.where(at_zero, 1.0, s)
+    damped_sinhc = np.where(
+        at_zero, t * math.exp(-0.5 * k * t),
+        (np.exp((s - 0.5 * k) * t) - np.exp((-s - 0.5 * k) * t)) / (2.0 * s_safe)).real
+    ut_hat = -(c * xi) ** 2 * math.sqrt(math.pi) * np.exp(-0.25 * xi * xi) * damped_sinhc
+    x = np.asarray(x, dtype=float)
+    out = np.empty(x.shape)
+    for b in range(0, x.size, 256):  # blocks keep the cos table small
+        out.flat[b:b + 256] = np.cos(np.outer(x.flat[b:b + 256], xi)) @ ut_hat
+    return out * XI_STEP / (2.0 * math.pi)

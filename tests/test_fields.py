@@ -60,6 +60,12 @@ class TestInterpolation:
         f = tg.SampledField(g, np.ones(5))
         assert np.array_equal(tg.sample_at(f, [-0.5, 4.5, 100.0]), [0.0, 0.0, 0.0])
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_point_rejected(self, bad):
+        f = tg.SampledField(tg.SpaceGrid(0.0, 1.0, 5), np.ones(5))
+        with pytest.raises(tg.DomainError):
+            tg.sample_at(f, [bad, 2.0])
+
     def test_grid_points_exact(self):
         g = tg.SpaceGrid(-1.0, 0.125, 17)
         rng = np.random.default_rng(3)

@@ -129,6 +129,13 @@ class TestWalkParams:
         with pytest.raises(tg.UsageError, match="integer"):
             tg.WalkConfig(p=0.5, dx=0.1, n_steps=4, n_walkers=10, seed=1.5)
 
+    @pytest.mark.parametrize("counts", [dict(n_steps=4.5, n_walkers=10),
+                                        dict(n_steps=4, n_walkers=10.5)],
+                             ids=["n_steps", "n_walkers"])
+    def test_fractional_count_rejected(self, counts):
+        with pytest.raises(tg.UsageError, match="integer"):
+            tg.WalkConfig(p=0.5, dx=0.1, seed=1, **counts)
+
 
 class TestSimulateWalk:
     @pytest.mark.parametrize("p, n_steps, reach, atoms", [

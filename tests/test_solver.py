@@ -10,6 +10,7 @@ from telegraph import oracles, solver
 from telegraph.bessel import i0_array, i1_over_z_array
 from telegraph.quadrature import panel_count, simpson_nodes_weights, simpson_pattern
 
+from _fourier_oracle import gaussian_velocity
 from conftest import gaussian
 
 
@@ -117,7 +118,7 @@ class TestVelocity:
 
     def test_initial_velocity_recovered(self, medium, grid_coarse):
         # compare away from the grid edges, where the Gaussian tail meets
-        # the zero extension and the probe windows see truncated integrals
+        # the zero extension
         f = gaussian(grid_coarse)
         g = gaussian(grid_coarse, center=0.5)
         vel = tg.velocity(f, g, 0.0, medium)
@@ -135,12 +136,39 @@ class TestVelocity:
         assert np.max(np.abs(vel.values[inside] - expected[inside])) < 1e-6
 
     def test_error_estimate_reported(self, medium, grid_coarse):
-        # the estimate reports the O(h^2) single-probe truncation, which
-        # bounds the extrapolated result's own O(h^4) error from above
+        # the estimate is the Richardson estimate of the one solve's
+        # quadrature error, which is positive and small for smooth data
         f = gaussian(grid_coarse)
         vel, err = tg.velocity(f, tg.zeros(grid_coarse), 0.5, medium,
                                error_estimate=True)
         assert 0.0 < err < 1e-4
+
+    @pytest.mark.parametrize("k", [200.0, 1000.0])
+    def test_matches_fourier_reference(self, grid_fine, k):
+        # strong damping makes u_t small against u, so an error of u_t's
+        # own size shows; the oracle shares no code with the solver
+        f = gaussian(grid_fine)
+        vel = tg.velocity(f, tg.zeros(grid_fine), 1.0, tg.MediumParams(k=k, c=1.0))
+        ref = gaussian_velocity(grid_fine.points(), 1.0, k)
+        assert np.max(np.abs(vel.values - ref)) / np.max(np.abs(ref)) < 1e-8
+
+    @pytest.mark.parametrize("k, t", [(1.0, 1.0), (20.0, 0.5), (4.0, -0.5)])
+    def test_cut_data_reach_only_the_cone_of_the_ends(self, k, t):
+        # data nonzero at the ends of the short grid: the cut there is
+        # seen only within c|t| + 3dx of them (cone, f_xx and interpolation)
+        dx = 1.0 / 128
+        short, wide = tg.SpaceGrid(-4.0, dx, 1025), tg.SpaceGrid(-8.0, dx, 2049)
+        medium = tg.MediumParams(k=k, c=1.0)
+
+        def vel(grid):
+            f = gaussian(grid, width=3.0)
+            g = gaussian(grid, center=0.5, width=2.0, amp=0.3)
+            return tg.velocity(f, g, t, medium).values
+
+        near, far = vel(short), vel(wide)[512:512 + 1025]
+        x = short.points()
+        inside = np.abs(x) < 4.0 - (medium.c * abs(t) + 3.0 * dx)
+        assert np.max(np.abs(near - far)[inside]) <= 1e-12 * np.max(np.abs(far[inside]))
 
 
 class TestPointSource:
