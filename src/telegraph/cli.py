@@ -113,8 +113,6 @@ def cmd_kernel(cfg: RunConfig) -> tuple[dict, bool]:
     x = grid.points()
     psi_vals = np.atleast_1d(fundamental_solution(x, t, medium))
     dt_vals = np.atleast_1d(time_derivative_regular(x, t, medium))
-    if not (np.all(np.isfinite(psi_vals)) and np.all(np.isfinite(dt_vals))):
-        raise DomainError("kernel values exceed the float64 range; lower k*|t|")
     payload = {
         "command": "kernel",
         "config": _config_echo(cfg),

@@ -78,7 +78,7 @@ def zeros(grid: SpaceGrid) -> SampledField:
     return SampledField(grid, np.zeros(grid.n))
 
 
-#: Nodes folded per block in ``_window_sum``; bounds its temporaries.
+#: Nodes folded per block in ``_fold``; bounds its temporaries.
 _FOLD_BLOCK = 1024
 
 
@@ -133,7 +133,8 @@ def sample_at(f: SampledField, xq) -> np.ndarray:
     if not np.all(np.isfinite(xq)):
         raise DomainError("query points must be finite")
     g = f.grid
-    pos = (xq - g.x0) / g.dx
+    # points past a grid end by over one cell read 0 either way; clipped, no overflow
+    pos = (np.clip(xq, g.x0 - g.dx, g.x_end + g.dx) - g.x0) / g.dx
     valid = (pos >= 0.0) & (pos <= g.n - 1)
     idx = np.floor(np.where(valid, pos, 0.0)).astype(np.int64)
     r = pos - idx
@@ -145,29 +146,13 @@ def sample_at(f: SampledField, xq) -> np.ndarray:
     return np.where(valid, out, 0.0)
 
 
-def _window_sum(f: SampledField, offsets: np.ndarray, weights: np.ndarray,
-                out_grid: Optional[SpaceGrid] = None) -> np.ndarray:
-    """sum_j weights[j] * f(x_i - offsets[j]) at every point x_i of out_grid.
-
-    Equals the node-by-node sum of ``weights[j] * sample_shifted(f,
-    -offsets[j])`` (of ``sample_at`` on out_grid's points) up to roundoff.
-    Each node's weight times its 4 cubic-Lagrange weights is folded onto
-    integer grid offsets, and the folded stencil is applied by one direct
-    correlation of the zero-extended values; direct rather than FFT, so
-    points the stencil never reaches stay exactly zero.
-
-    Edge rule, as in ``sample_shifted``: a node whose sampled point lies
-    off the grid contributes 0, even where its 4-point stencil still
-    touches the grid.  Zero extension alone would leak f[0], f[1], f[n-2]
-    and f[n-1] into points sampled up to 2 cells outside the grid; that
-    leak is subtracted row by row from the same folded sums.
-
-    out_grid defaults to f's grid and must have the same spacing.
-    """
-    g = f.grid
+def _fold(g: SpaceGrid, offsets: np.ndarray, weights: np.ndarray,
+          out_grid: Optional[SpaceGrid] = None) -> Callable[..., np.ndarray]:
+    """Fold weight rows on shared offsets for data on g into apply(v, row); see _window_sum."""
     n = g.n
     out = g if out_grid is None else out_grid
-    w = np.asarray(weights, dtype=float)
+    w = np.atleast_2d(np.asarray(weights, dtype=float))
+    rows = w.shape[0]
     # an out_grid from ``SpaceGrid.extended`` lies a whole number of cells off
     # g; keep it whole, or roundoff in x0 can put g's own end points off g
     shift = (out.x0 - g.x0) / g.dx
@@ -181,47 +166,77 @@ def _window_sum(f: SampledField, offsets: np.ndarray, weights: np.ndarray,
     s = s.astype(np.int64)
     s_lo = int(s.min())
     s -= s_lo
-    # folded[k][q] sums weights[j] * L_k(r_j) over the nodes with s_j = s_lo + q,
-    # for the stencil offsets k - 1 = -1..2; folded[4] is folded[1] over the
-    # past_end nodes only.  Blocks of nodes keep the temporaries small.
+    # folded[:, k, q] sums weights[:, j] * L_k(r_j) over the nodes with
+    # s_j = s_lo + q, for the stencil offsets k - 1 = -1..2; k = 4 is k = 1 over
+    # the past_end nodes only.  Blocks of nodes keep the temporaries small.
     n_s = int(s.max()) + 1
-    folded = np.zeros((5, n_s))
+    bins = np.arange(rows * 5)[:, None] * n_s
+    folded = np.zeros((rows, 5, n_s))
     for b in range(0, s.size, _FOLD_BLOCK):
         blk = slice(b, b + _FOLD_BLOCK)
         lag = _cubic_weights(r[blk])
-        for k, lm in enumerate(lag + (lag[1] * past_end[blk],)):
-            folded[k] += np.bincount(s[blk], weights=w[blk] * lm, minlength=n_s)
-    del r, s, past_end
+        lag = np.array(lag + (lag[1] * past_end[blk],))
+        folded += np.bincount((bins + s[blk]).ravel(), weights=(w[:, None, blk] * lag).ravel(),
+                              minlength=folded.size).reshape(folded.shape)
 
-    # stencil[p] multiplies f[i + s_lo - 1 + p] in output row i
-    stencil = np.zeros(n_s + 3)
+    stencils = np.zeros((rows, n_s + 3))
     for k in range(4):
-        stencil[k:k + n_s] += folded[k]
-    # taps outside [1 - out.n, n - 1] never meet a grid value
+        stencils[:, k:k + n_s] += folded[:, k]
+    # taps outside [1 - out.n, n - 1] never meet a grid value; hi < lo: none does
     lo = max(s_lo - 1, 1 - out.n)
-    hi = min(s_lo + n_s + 1, n - 1)
-    if lo > hi:
-        return np.zeros(out.n)
-    stencil = stencil[lo - s_lo + 1:hi - s_lo + 2]
-    v = f.values
-    padded = np.zeros(out.n + stencil.size - 1)  # padded[p] = f[lo + p], 0 off grid
-    first = max(0, lo)
-    stop = min(n, lo + padded.size)
-    padded[first - lo:stop - lo] = v[first:stop]
-    result = np.correlate(padded, stencil, "valid")
+    hi = max(lo - 1, min(s_lo + n_s + 1, n - 1))
 
-    # row i sees node j off the grid when i + s_j is -2, -1 (left), n - 1
-    # with past_end or n (right); there its stencil still reaches these values
-    leaks = ((-1, v[0] * folded[2] + v[1] * folded[3]),
-             (-2, v[0] * folded[3]),
-             (n - 1, v[n - 2] * folded[0] + v[n - 1] * folded[4]),
-             (n, v[n - 1] * folded[0]))
-    s_vals = s_lo + np.arange(n_s)
-    for i_plus_s, leak in leaks:
-        row = i_plus_s - s_vals
-        keep = (row >= 0) & (row < out.n)
-        result[row[keep]] -= leak[keep]
-    return result
+    # row i sees node j off the grid when i + s_j is -2, -1 (left block: f[0],
+    # f[1] leak in) or n - 1 with past_end, n (right block: f[n-2], f[n-1]);
+    # column m of a block is output row base + m
+    fr = folded[:, :, ::-1]
+    blocks = np.zeros((2, rows, 2, n_s + 1))
+    blocks[0, :, :, 1:] = fr[:, 2:4]
+    blocks[0, :, 0, :-1] += fr[:, 3]
+    blocks[1, :, :, :-1] = fr[:, [0, 4]]
+    blocks[1, :, 1, 1:] += fr[:, 0]
+    ends = []
+    for blk, base in zip(blocks, (-1 - s_lo - n_s, n - s_lo - n_s)):
+        m_lo = max(0, -base)  # keep the output rows in [0, out.n)
+        ends.append((base + m_lo, blk[:, :, m_lo:max(m_lo, out.n - base)]))
+    stencils = stencils[:, lo - s_lo + 1:hi - s_lo + 2]
+
+    def apply(v: np.ndarray, row: int = 0) -> np.ndarray:
+        stencil = stencils[row]
+        if stencil.size == 0:
+            return np.zeros(out.n)
+        padded = np.zeros(out.n + stencil.size - 1)  # padded[p] = v[lo + p], 0 off grid
+        first, stop = max(0, lo), min(n, lo + padded.size)
+        padded[first - lo:stop - lo] = v[first:stop]
+        result = np.correlate(padded, stencil, "valid")
+        for v_end, (start, blk) in zip((v[:2], v[-2:]), ends):
+            result[start:start + blk.shape[2]] -= v_end @ blk[row]
+        return result
+
+    return apply
+
+
+def _window_sum(f: SampledField, offsets: np.ndarray, weights: np.ndarray,
+                out_grid: Optional[SpaceGrid] = None) -> np.ndarray:
+    """sum_j weights[j] * f(x_i - offsets[j]) at every point x_i of out_grid.
+
+    Equals the node-by-node sum of ``weights[j] * sample_shifted(f,
+    -offsets[j])`` (of ``sample_at`` on out_grid's points) up to roundoff.
+    ``_fold`` sums each node's weight times its 4 cubic-Lagrange weights
+    onto whole grid offsets, for weight rows on shared nodes, and returns
+    the apply step: per row one direct correlation (not FFT, so points the
+    stencil never reaches stay exactly zero) of the zero-extended values.
+
+    Edge rule, as in ``sample_shifted``: a node whose sampled point lies
+    off the grid contributes 0, even where its 4-point stencil still
+    touches the grid.  Zero extension alone would leak f[0], f[1], f[n-2]
+    and f[n-1] into points sampled up to 2 cells outside the grid; the fold
+    keeps that leak as one block per grid end, which the apply step
+    subtracts by one product with the field's two end values.
+
+    out_grid defaults to f's grid and must have the same spacing.
+    """
+    return _fold(f.grid, offsets, weights, out_grid)(f.values)
 
 
 def l2_norm(f: SampledField) -> float:

@@ -11,7 +11,7 @@ odd in t, even in x, equal to sgn(t)/(2c) on the characteristics.  Its
 time derivative splits into two Dirac atoms of weight 1/2 riding the
 cone boundary (at x = -ct and x = +ct) plus a bounded density inside.
 One evaluator, ``_cone_values``, computes both for all real times: at
-points, in the solver's point-data rows and at ``solver._cone_window``'s nodes.
+points, in the solver's point-data rows and at ``solver._cone_stencils``' nodes.
 """
 
 from __future__ import annotations
@@ -107,8 +107,11 @@ def _cone_combination(x, t: float, medium: MediumParams, w_psi: float, w_reg: fl
     lam, boundary, inside = _masks(x, t, medium.c)
     supported = boundary | inside
     out = np.zeros_like(x)
-    out[supported] = _cone_values(x[supported], lam[supported], t, medium,
-                                  w_psi, w_reg, w_dip, boundary[supported])
+    with np.errstate(over="ignore", invalid="ignore"):
+        out[supported] = _cone_values(x[supported], lam[supported], t, medium,
+                                      w_psi, w_reg, w_dip, boundary[supported])
+    if not np.all(np.isfinite(out)):
+        raise DomainError(f"kernel values exceed float64 at k|t| = {medium.k * abs(t):g}")
     return float(out[0]) if scalar else out
 
 

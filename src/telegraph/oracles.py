@@ -285,8 +285,10 @@ def duhamel_residual(f: SampledField, g: SampledField, t: float,
     so the difference between ``solve_rescaled`` and the right-hand side
     (with v at intermediate times supplied by the solver itself) measures
     self-consistency.  Evaluated at every grid point whose full dependency
-    cone fits inside the grid; pass a dict as ``cache`` to share the
-    intermediate solves across refinement levels.
+    cone fits inside the grid.  One dict passed as ``cache`` to the levels
+    of a refinement of one (f, g, medium) keeps their solves and window
+    integrals, keyed by times rounded to 14 digits; the value is bitwise
+    the same with or without it.
     """
     if f.grid != g.grid:
         raise UsageError("initial fields must share one grid")
@@ -300,8 +302,6 @@ def duhamel_residual(f: SampledField, g: SampledField, t: float,
     if not valid.any():
         raise UsageError("dependency cone exceeds the grid at every point")
 
-    geff = SampledField(grid, g.values + 0.5 * medium.k * f.values)
-
     def window_integral(fld: SampledField, radius: float) -> np.ndarray:
         """int_{x-radius}^{x+radius} fld(y) dy at every grid point."""
         if radius <= 0:
@@ -309,24 +309,29 @@ def duhamel_residual(f: SampledField, g: SampledField, t: float,
         return _window_sum(fld, *simpson_nodes_weights(-radius, radius,
                                                        panel_count(2 * radius, grid.dx)))
 
+    cache = {} if cache is None else cache  # no key repeats within one call
+
+    def cached(key, compute):
+        if key not in cache:
+            cache[key] = compute()
+        return cache[key]
+
     def v_at(s: float) -> SampledField:
-        if cache is not None:
-            key = round(s, 14)
-            if key not in cache:
-                cache[key] = solve_rescaled(f, g, s, medium)
-            return cache[key]
-        return solve_rescaled(f, g, s, medium)
+        return cached(round(s, 14), lambda: solve_rescaled(f, g, s, medium))
 
     lhs = v_at(t).values
-    rhs = (0.5 * (sample_shifted(f, ct) + sample_shifted(f, -ct))
-           + window_integral(geff, ct) / (2.0 * c))
+    geff = SampledField(grid, g.values + 0.5 * medium.k * f.values)
+    rhs = cached(("data", round(t, 14)),
+                 lambda: (0.5 * (sample_shifted(f, ct) + sample_shifted(f, -ct))
+                          + window_integral(geff, ct) / (2.0 * c)))
 
     ds = t / cfg.n_slabs
     outer = simpson_pattern(cfg.n_slabs) * (ds / 3.0)
     source = np.zeros(grid.n)
     for m in range(cfg.n_slabs):  # the s = t node has a collapsed window
         s = m * ds
-        source += outer[m] * window_integral(v_at(s), c * (t - s))
+        source += outer[m] * cached(("window", round(s, 14), round(t, 14)),
+                                    lambda: window_integral(v_at(s), c * (t - s)))
     rhs = rhs + (medium.k ** 2 / (8.0 * c)) * source
 
     return float(np.max(np.abs(lhs[valid] - rhs[valid])))

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from .errors import UsageError
 from .fields import SampledField, derivative_x, l2_norm
 from .kernel import MediumParams
-from .solver import solve, velocity
+from .solver import _solve_shared, _velocity_data
 
 
 @dataclass(frozen=True)
@@ -31,12 +31,11 @@ class StatePair:
 
 
 def evolve(t: float, state: StatePair, medium: MediumParams) -> StatePair:
-    """Propagate a state forward by t >= 0 (one-sided semigroup)."""
+    """Propagate a state forward by t >= 0: u = ``solve``, u_t = ``velocity``."""
     if t < 0:
         raise UsageError(f"the evolution operator is one-sided; got t = {t}")
-    u = solve(state.u, state.ut, t, medium)
-    ut = velocity(state.u, state.ut, t, medium)
-    return StatePair(u, ut)
+    f, g = state.u, state.ut
+    return StatePair(*_solve_shared([(f, g), (g, _velocity_data(f, g, medium))], t, medium))
 
 
 @dataclass(frozen=True)

@@ -12,11 +12,11 @@ either sign of t, which is what ``solve_rescaled`` returns.
 
 Quadrature is composite Simpson on the cone window; the integrands are
 continuous up to the window endpoints (the I1 term is evaluated through
-I1(w)/w), so no singular treatment is required.  ``_cone_window`` builds
-every K and K_t window: the Simpson nodes, their kernel factors from the
-kernel module's one evaluator, and ``fields._window_sum``, which applies
-them with cubic interpolation as one folded stencil in a fixed order (its
-docstring gives the edge rule: a node sampled off the grid adds 0).
+I1(w)/w), so no singular treatment is required.  ``_cone_stencils`` builds
+every K and K_t window from the kernel module's one evaluator, with the
+d'Alembert term as K_t's atoms of weight 1/2 on the end nodes, and folds
+them with cubic interpolation into one stencil pair per solve time for
+every field (``fields._window_sum`` has the edge rule: off-grid nodes add 0).
 
 Point data at the origin need no quadrature: ``point_source_solution``
 gives each kind's atoms and density in closed form.
@@ -30,8 +30,7 @@ from typing import Optional
 import numpy as np
 
 from .errors import DomainError, UsageError
-from .fields import (MixedMeasure, SampledField, SpaceGrid, _outside_support, _window_sum,
-                     sample_shifted)
+from .fields import MixedMeasure, SampledField, SpaceGrid, _fold, _outside_support
 from .kernel import MediumParams, _check_time, _cone_combination, _cone_values, _masks
 from .quadrature import panel_count, simpson_nodes_weights
 
@@ -50,36 +49,34 @@ def _require_shared_grid(f: SampledField, g: SampledField) -> SpaceGrid:
     return f.grid
 
 
-def _cone_window(f: SampledField, t: float, medium: MediumParams, n_sub: int,
-                 kernel_dt: bool, *, edge_atoms: bool = False,
-                 out_grid: Optional[SpaceGrid] = None) -> np.ndarray:
-    """Simpson sum over |y| <= c|t| of psi(y) f(x - y), or psi_t,reg with kernel_dt.
+def _cone_stencils(grid: SpaceGrid, t: float, medium: MediumParams, n_sub: int,
+                   kernels=("kernel_dt", "kernel"), out_grid: Optional[SpaceGrid] = None):
+    """Simpson windows over |y| <= c|t| of the named kernels, folded for data on grid.
 
-    edge_atoms adds K_t's atoms of weight 1/2 on the end nodes -+ c|t| (at
-    t = 0 every Simpson weight is 0 and they sum to a delta).  Values are
-    at the points x of out_grid, default f's grid.
+    "kernel" is K = psi; "kernel_dt" is K_t, psi_t,reg plus atoms of weight
+    1/2 on the end nodes -+ c|t| that carry the d'Alembert term (at t = 0
+    every Simpson weight is 0 and they sum to a delta).  Each kernel
+    evaluates its Bessel family once.  Returns ``fields._fold``'s apply
+    step, rows in the order named, values at the points of out_grid.
     """
     radius = medium.c * abs(t)
     offsets, weights = simpson_nodes_weights(-radius, radius, n_sub)
     lam = (medium.c * t) ** 2 - offsets ** 2
-    w_psi, w_reg = (0.0, 1.0) if kernel_dt else (1.0, 0.0)
-    stencil = weights * _cone_values(offsets, lam, t, medium, w_psi, w_reg, 0.0)
-    if edge_atoms:
-        stencil[0] += 0.5
-        stencil[-1] += 0.5
-    return _window_sum(f, offsets, stencil, out_grid)
+    rows = []
+    for name in kernels:
+        dt = name == "kernel_dt"
+        rows.append(weights * _cone_values(offsets, lam, t, medium, 1.0 - dt, 1.0 * dt, 0.0))
+        if dt:
+            rows[-1][[0, -1]] += 0.5
+    return _fold(grid, offsets, np.array(rows), out_grid)
 
 
-def _rescaled_values(f: SampledField, g: SampledField, t: float,
-                     medium: MediumParams, n_sub: int) -> np.ndarray:
+def _rescaled_values(pairs, t: float, medium: MediumParams, n_sub: int) -> list:
+    """K_t * f + K * (g + k f/2) for each data pair (f, g), from one stencil pair."""
     if t == 0.0:
-        return f.values.copy()
-    radius = medium.c * abs(t)
-    geff = SampledField(f.grid, g.values + 0.5 * medium.k * f.values)
-    out = 0.5 * (sample_shifted(f, radius) + sample_shifted(f, -radius))
-    out += _cone_window(f, t, medium, n_sub, kernel_dt=True)
-    out += _cone_window(geff, t, medium, n_sub, kernel_dt=False)
-    return out
+        return [f.values.copy() for f, _ in pairs]
+    apply = _cone_stencils(pairs[0][0].grid, t, medium, n_sub)
+    return [apply(f.values) + apply(g.values + 0.5 * medium.k * f.values, 1) for f, g in pairs]
 
 
 def solve_rescaled(f: SampledField, g: SampledField, t: float, medium: MediumParams,
@@ -93,11 +90,11 @@ def solve_rescaled(f: SampledField, g: SampledField, t: float, medium: MediumPar
     grid = _require_shared_grid(f, g)
     t = _check_time(t)
     n_sub = panel_count(2.0 * medium.c * abs(t), grid.dx)
-    vals = _rescaled_values(f, g, t, medium, n_sub)
+    vals, = _rescaled_values([(f, g)], t, medium, n_sub)
     result = SampledField(grid, vals)
     if not error_estimate:
         return result
-    coarse = _rescaled_values(f, g, t, medium, max(2, n_sub // 2 + (n_sub // 2) % 2))
+    coarse, = _rescaled_values([(f, g)], t, medium, max(2, n_sub // 2 + (n_sub // 2) % 2))
     return result, float(np.max(np.abs(vals - coarse)) / 15.0)
 
 
@@ -122,11 +119,21 @@ def solve(f: SampledField, g: SampledField, t: float, medium: MediumParams,
     return (u, damp * err) if error_estimate else u
 
 
-def _d4(f: SampledField) -> np.ndarray:
-    """Fourth-order 5-point second difference of f, extended by zero."""
+def _solve_shared(pairs, t: float, medium: MediumParams) -> list:
+    """``solve`` of each data pair (f, g) at t >= 0, all from one stencil pair."""
+    t = _check_time(t)
+    grid = pairs[0][0].grid
+    damp = math.exp(-0.5 * medium.k * t)
+    vals = _rescaled_values(pairs, t, medium, panel_count(2.0 * medium.c * t, grid.dx))
+    return [SampledField(grid, damp * v) for v in vals]
+
+
+def _velocity_data(f: SampledField, g: SampledField, medium: MediumParams) -> SampledField:
+    """u_tt(0) = c^2 f_xx - k g; f_xx by 5 points, fourth order, f extended by zero."""
+    grid = _require_shared_grid(f, g)
     v = np.pad(f.values, 2)
     d2 = 16.0 * (v[1:-3] + v[3:-1]) - (v[:-4] + v[4:]) - 30.0 * v[2:-2]
-    return d2 / (12.0 * f.grid.dx ** 2)
+    return SampledField(grid, medium.c ** 2 * d2 / (12.0 * grid.dx ** 2) - medium.k * g.values)
 
 
 def velocity(f: SampledField, g: SampledField, t: float, medium: MediumParams,
@@ -137,9 +144,7 @@ def velocity(f: SampledField, g: SampledField, t: float, medium: MediumParams,
     within c|t| + 3dx of a grid end where the data are nonzero are not meaningful.
     error_estimate is that one solve's Richardson estimate, as in ``solve``.
     """
-    grid = _require_shared_grid(f, g)
-    h = SampledField(grid, medium.c ** 2 * _d4(f) - medium.k * g.values)
-    return solve(g, h, t, medium, error_estimate=error_estimate)
+    return solve(g, _velocity_data(f, g, medium), t, medium, error_estimate=error_estimate)
 
 
 def point_source_solution(kind: str, t: float, medium: MediumParams,
@@ -235,8 +240,8 @@ def convolve_measure(m: MixedMeasure, t: float, medium: MediumParams, which: str
 
     if m.density is not None:
         n_sub = panel_count(2 * radius, m.density.grid.dx)
-        dens += _cone_window(m.density, t, medium, n_sub, kernel_dt, edge_atoms=kernel_dt,
-                             out_grid=out_grid)
+        dens += _cone_stencils(m.density.grid, t, medium, n_sub, (which,), out_grid)(
+            m.density.values)
 
     new_lo = min([lo] + [p for p, _ in m.atoms], default=lo) - radius
     new_hi = max([hi] + [p for p, _ in m.atoms], default=hi) + radius

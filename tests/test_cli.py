@@ -68,6 +68,13 @@ class TestKernelCommand:
         assert out == ""
         assert "float64" in err
 
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_kernel_past_float64_at_negative_time_is_exit_2(self, capsys):
+        code, out, err = run_cli(["kernel", "--t", "-1.3", "--k", "1400"], capsys)
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error:") and "float64" in err
+
     def test_non_finite_json_payload_is_exit_2(self, capsys, monkeypatch):
         monkeypatch.setattr("telegraph.cli.cmd_kernel",
                             lambda cfg: ({"value": math.inf}, True))

@@ -66,6 +66,13 @@ class TestInterpolation:
         with pytest.raises(tg.DomainError):
             tg.sample_at(f, [bad, 2.0])
 
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_huge_finite_points_read_zero_without_overflow(self):
+        g = tg.SpaceGrid(-8.0, 1.0 / 256, 4097)
+        f = tg.from_function(g, lambda x: np.exp(-x * x))
+        got = tg.sample_at(f, [1e300, 2.0, -1.7e308, 1.7e308])
+        assert np.array_equal(got, [0.0, tg.sample_at(f, [2.0])[0], 0.0, 0.0])
+
     def test_grid_points_exact(self):
         g = tg.SpaceGrid(-1.0, 0.125, 17)
         rng = np.random.default_rng(3)

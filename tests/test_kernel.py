@@ -83,6 +83,17 @@ class TestKernelValues:
             fn(0.0, math.inf, medium)
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("fn", [tg.fundamental_solution, tg.time_derivative_regular])
+@pytest.mark.parametrize("t", [1.3, -1.3])
+def test_kernel_past_float64_is_domain_error(fn, t):
+    # I0 and I1 of k|t|/2 = 910 exceed float64 at the cone's centre
+    medium = tg.MediumParams(k=1400.0, c=1.0)
+    with pytest.raises(tg.DomainError, match="float64"):
+        fn(np.linspace(-1.0, 1.0, 9), t, medium)
+    assert np.all(np.isfinite(fn(np.linspace(-1.0, 1.0, 9), 1.0, medium)))
+
+
 class TestTimeDerivativeRegular:
     def test_outside_cone(self, medium):
         assert tg.time_derivative_regular(2.0, 1.0, medium) == 0.0

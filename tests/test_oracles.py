@@ -249,6 +249,17 @@ class TestDuhamel:
                 break
             assert coarse / fine >= 2.0
 
+    def test_shared_cache_gives_the_same_residual(self, medium):
+        grid = tg.SpaceGrid(-4.0, 1.0 / 64, 513)
+        x = grid.points()
+        f = tg.SampledField(grid, 1.0 + 0.5 * np.cos(x))
+        g = gaussian(grid, center=0.3, width=0.9)
+        cache = {}
+        for n in (4, 8, 16):
+            cfg = tg.DuhamelConfig(n_slabs=n)
+            assert (tg.duhamel_residual(f, g, 1.0, medium, cfg, cache)
+                    == tg.duhamel_residual(f, g, 1.0, medium, cfg))
+
     def test_cone_must_fit(self, medium):
         grid = tg.SpaceGrid(-0.4, 0.01, 81)
         f = gaussian(grid, width=0.1)

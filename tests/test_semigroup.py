@@ -49,6 +49,20 @@ class TestEvolve:
         assert tg.rel_l2_error(composed.u, whole.u, window) < 1e-5
         assert tg.rel_l2_error(composed.ut, whole.ut, window) < 1e-5
 
+    @pytest.mark.parametrize("k", [0.0, 1.0, 20.0, 200.0])
+    @pytest.mark.parametrize("t", [0.0, 1e-9, 0.37, 2.5])
+    def test_shared_stencils_match_solve_and_velocity(self, k, t):
+        # data nonzero at both grid ends exercise the stencils' edge rule
+        grid = tg.SpaceGrid(-4.0, 1.0 / 16, 129)
+        x = grid.points()
+        f = tg.SampledField(grid, 1.0 + 0.5 * np.cos(x))
+        g = tg.SampledField(grid, 0.3 - 0.2 * np.sin(x))
+        medium = tg.MediumParams(k=k, c=1.0)
+        out = tg.evolve(t, tg.StatePair(f, g), medium)
+        for got, ref in ((out.u, tg.solve(f, g, t, medium)),
+                         (out.ut, tg.velocity(f, g, t, medium))):
+            assert np.max(np.abs(got.values - ref.values)) <= 1e-13 * np.max(np.abs(ref.values))
+
 
 class TestNormReport:
     def test_zero_state(self, medium, grid_coarse):

@@ -370,7 +370,7 @@ class TestConeEdgeRule:
         if n_panels is None:
             got = tg.solve_rescaled(f, g, t, EDGE_MEDIUM).values
         else:
-            got = solver._rescaled_values(f, g, t, EDGE_MEDIUM, n_panels)
+            got, = solver._rescaled_values([(f, g)], t, EDGE_MEDIUM, n_panels)
         assert_matches_reference(got, reference)
 
     @pytest.mark.parametrize("which", ["kernel", "kernel_dt"])
