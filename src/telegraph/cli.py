@@ -158,7 +158,7 @@ def cmd_delta(cfg: RunConfig) -> tuple[dict, bool]:
         v["xmax"] = 1.1 * ct
     grid_cfg = RunConfig(cfg.command, v)
     measure = point_source_solution(v["kind"], t, medium, grid_cfg.grid())
-    breakdown = measure.mass_breakdown(v["mass_panels"])
+    breakdown = measure.mass_breakdown()
     dens = measure.density
     payload = {
         "command": "delta",
@@ -187,7 +187,7 @@ def _suite_fd(cfg: RunConfig) -> list[ValidationReport]:
     t = cfg.values["t"]
     f, g = _suite_data(8.0, cfg.values["dx"])
     reference = solve(f, g, t, medium)
-    approx = fd_solve(f, g, t, medium, fd_config_for(t, f.grid, medium, cfg.values["courant"]))
+    approx = fd_solve(f, g, t, medium, fd_config_for(t, f.grid, medium))
     tol = cfg.values["tol"] if cfg.values["tol"] is not None else 1e-3
     return [ValidationReport("fd_vs_convolution", "rel_L2",
                              rel_l2_error(approx, reference), tol)]
@@ -278,11 +278,9 @@ _OPTIONS = {
               "f_center": (float, 0.0), "f_width": (float, 1.0),
               "g_amp": (float, 0.0), "g_center": (float, 0.0), "g_width": (float, 1.0)},
     "delta": {**_COMMON, "kind": (DELTA_KINDS, "delta_position"),
-              "xmin": (float, None), "xmax": (float, None), "n": (int, 2049),
-              "mass_panels": (int, 16384)},
+              "xmin": (float, None), "xmax": (float, None), "n": (int, 2049)},
     "validate": {**_COMMON, "suite": ((*_SUITES, "all"), "all"), "dx": (float, 1.0 / 512),
-                 "courant": (float, 0.9), "n_walkers": (int, 1_000_000),
-                 "dt_walk": (float, 1e-3), "slabs": (int, 32),
+                 "n_walkers": (int, 1_000_000), "dt_walk": (float, 1e-3), "slabs": (int, 32),
                  "tol": (float, None), "seed": (int, 7)},
 }
 

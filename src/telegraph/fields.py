@@ -15,7 +15,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from .errors import DomainError, UsageError
-from .quadrature import composite_simpson
+from .quadrature import MASS_PANELS, composite_simpson
 
 
 @dataclass(frozen=True)
@@ -104,7 +104,9 @@ def sample_shifted(f: SampledField, offset: float) -> np.ndarray:
         raise DomainError(f"shift must be finite, got {offset!r}")
     g = f.grid
     n = g.n
-    pos = offset / g.dx
+    # shifts past the grid by over n + 2 cells read 0 either way; clipped, no overflow
+    reach = (n + 3) * g.dx
+    pos = min(max(offset, -reach), reach) / g.dx
     s = math.floor(pos)
     r = pos - s
     out = np.zeros(n)
@@ -148,7 +150,22 @@ def sample_at(f: SampledField, xq) -> np.ndarray:
 
 def _fold(g: SpaceGrid, offsets: np.ndarray, weights: np.ndarray,
           out_grid: Optional[SpaceGrid] = None) -> Callable[..., np.ndarray]:
-    """Fold weight rows on shared offsets for data on g into apply(v, row); see _window_sum."""
+    """Cone-window sums of weight rows on shared offsets, folded for data on g.
+
+    Returns apply(v, row=0) = sum_j weights[row, j] f(x_i - offsets[j]) at the
+    points x_i of out_grid (default g, same spacing), f having values v on g:
+    the node loop of ``sample_shifted(f, -offsets[j])`` (``sample_at`` off g's
+    points) up to roundoff.  Each node's weight times its 4 cubic-Lagrange
+    weights is summed onto whole grid offsets; apply is one direct correlation
+    (not FFT, so points the stencil never reaches stay exactly zero) of the
+    zero-extended values.
+
+    Edge rule, as in ``sample_shifted``: a node whose sampled point is off the
+    grid adds 0, even where its stencil still touches it.  Zero extension alone
+    would leak f[0], f[1], f[n-2] and f[n-1] into points up to 2 cells off the
+    grid; that leak is kept as one block per grid end, which apply subtracts
+    as one product with the field's two end values.
+    """
     n = g.n
     out = g if out_grid is None else out_grid
     w = np.atleast_2d(np.asarray(weights, dtype=float))
@@ -214,29 +231,6 @@ def _fold(g: SpaceGrid, offsets: np.ndarray, weights: np.ndarray,
         return result
 
     return apply
-
-
-def _window_sum(f: SampledField, offsets: np.ndarray, weights: np.ndarray,
-                out_grid: Optional[SpaceGrid] = None) -> np.ndarray:
-    """sum_j weights[j] * f(x_i - offsets[j]) at every point x_i of out_grid.
-
-    Equals the node-by-node sum of ``weights[j] * sample_shifted(f,
-    -offsets[j])`` (of ``sample_at`` on out_grid's points) up to roundoff.
-    ``_fold`` sums each node's weight times its 4 cubic-Lagrange weights
-    onto whole grid offsets, for weight rows on shared nodes, and returns
-    the apply step: per row one direct correlation (not FFT, so points the
-    stencil never reaches stay exactly zero) of the zero-extended values.
-
-    Edge rule, as in ``sample_shifted``: a node whose sampled point lies
-    off the grid contributes 0, even where its 4-point stencil still
-    touches the grid.  Zero extension alone would leak f[0], f[1], f[n-2]
-    and f[n-1] into points sampled up to 2 cells outside the grid; the fold
-    keeps that leak as one block per grid end, which the apply step
-    subtracts by one product with the field's two end values.
-
-    out_grid defaults to f's grid and must have the same spacing.
-    """
-    return _fold(f.grid, offsets, weights, out_grid)(f.values)
 
 
 def l2_norm(f: SampledField) -> float:
@@ -310,20 +304,21 @@ class MixedMeasure:
     def atom_mass(self) -> float:
         return float(sum(w for _, w in self.atoms))
 
-    def density_mass(self, n_panels: int = 16384) -> float:
+    def density_mass(self) -> float:
+        """Exact mass if given, else MASS_PANELS-panel Simpson of density_fn, else trapezoid."""
         if self.density_mass_exact is not None:
             return self.density_mass_exact
         lo, hi = self.support
         if hi <= lo:
             return 0.0
         if self.density_fn is not None:
-            return composite_simpson(self.density_fn, lo, hi, n_panels)
+            return composite_simpson(self.density_fn, lo, hi, MASS_PANELS)
         if self.density is None:
             return 0.0
         # fall back to the stored samples over their grid
         return float(np.trapezoid(self.density.values, dx=self.density.grid.dx))
 
-    def mass_breakdown(self, n_panels: int = 16384) -> MassBreakdown:
+    def mass_breakdown(self) -> MassBreakdown:
         a = self.atom_mass()
-        d = self.density_mass(n_panels)
+        d = self.density_mass()
         return MassBreakdown(a, d, a + d)

@@ -20,7 +20,7 @@ from typing import Optional
 import numpy as np
 
 from .errors import UsageError
-from .fields import MixedMeasure, SampledField, SpaceGrid, _window_sum, sample_shifted
+from .fields import MixedMeasure, SampledField, SpaceGrid, _fold, sample_shifted
 from .kernel import MediumParams
 from .quadrature import (integrate_bins, panel_count, simpson_nodes_weights,
                          simpson_pattern)
@@ -30,6 +30,9 @@ from .solver import solve_rescaled
 #: derived from (seed, block index), so results are reproducible and
 #: independent of how blocks are scheduled.
 WALK_BLOCK = 8192
+
+#: Leapfrog Courant number c dt/dx that ``fd_config_for`` steps at or below.
+FD_COURANT = 0.9
 
 
 # ---------------------------------------------------------------------------
@@ -50,14 +53,11 @@ class FDConfig:
             raise UsageError(f"steps must be >= 1, got {self.steps}")
 
 
-def fd_config_for(t_final: float, grid: SpaceGrid, medium: MediumParams,
-                  courant: float = 0.9) -> FDConfig:
-    """Largest step count reaching t_final with courant at most the target."""
+def fd_config_for(t_final: float, grid: SpaceGrid, medium: MediumParams) -> FDConfig:
+    """Fewest equal steps reaching t_final with Courant number at most FD_COURANT."""
     if not (math.isfinite(t_final) and t_final > 0):
         raise UsageError(f"t_final must be positive and finite, got {t_final}")
-    if not 0 < courant <= 1:
-        raise UsageError(f"target courant must lie in (0, 1], got {courant}")
-    dt_target = courant * grid.dx / medium.c
+    dt_target = FD_COURANT * grid.dx / medium.c
     steps = max(1, math.ceil(t_final / dt_target - 1e-12))
     dt = t_final / steps
     return FDConfig(dt=dt, steps=steps)
@@ -236,14 +236,12 @@ def binned_tv_distance(estimate: MixedMeasure, reference: MixedMeasure) -> float
     edges = np.concatenate([centers - half, [centers[-1] + half]])
 
     p = estimate.density.values * grid.dx
-    p = p.copy()
     for pos, wgt in estimate.atoms:
         p[_bin_index(edges, pos)] += wgt
 
     lo = np.clip(edges[:-1], reference.support[0], reference.support[1])
     hi = np.clip(edges[1:], reference.support[0], reference.support[1])
-    qdens = integrate_bins(reference.density_fn, lo, hi)
-    q = qdens.copy()
+    q = integrate_bins(reference.density_fn, lo, hi)
     for pos, wgt in reference.atoms:
         q[_bin_index(edges, pos)] += wgt
 
@@ -286,9 +284,10 @@ def duhamel_residual(f: SampledField, g: SampledField, t: float,
     (with v at intermediate times supplied by the solver itself) measures
     self-consistency.  Evaluated at every grid point whose full dependency
     cone fits inside the grid.  One dict passed as ``cache`` to the levels
-    of a refinement of one (f, g, medium) keeps their solves and window
-    integrals, keyed by times rounded to 14 digits; the value is bitwise
-    the same with or without it.
+    of a refinement keeps their solves and window integrals, keyed by slab
+    times rounded to 14 digits; the value is bitwise the same with or
+    without it.  The first call binds the dict to its (f, g, t, medium), and
+    a later call with other ones (f and g by identity) raises UsageError.
     """
     if f.grid != g.grid:
         raise UsageError("initial fields must share one grid")
@@ -306,10 +305,13 @@ def duhamel_residual(f: SampledField, g: SampledField, t: float,
         """int_{x-radius}^{x+radius} fld(y) dy at every grid point."""
         if radius <= 0:
             return np.zeros(grid.n)
-        return _window_sum(fld, *simpson_nodes_weights(-radius, radius,
-                                                       panel_count(2 * radius, grid.dx)))
+        nodes, weights = simpson_nodes_weights(-radius, radius, panel_count(2 * radius, grid.dx))
+        return _fold(grid, nodes, weights)(fld.values)
 
     cache = {} if cache is None else cache  # no key repeats within one call
+    bf, bg, bt, bm = cache.setdefault("inputs", (f, g, t, medium))
+    if not (bf is f and bg is g and bt == t and bm == medium):
+        raise UsageError("cache holds the residual of other data, time or medium")
 
     def cached(key, compute):
         if key not in cache:
@@ -317,20 +319,19 @@ def duhamel_residual(f: SampledField, g: SampledField, t: float,
         return cache[key]
 
     def v_at(s: float) -> SampledField:
-        return cached(round(s, 14), lambda: solve_rescaled(f, g, s, medium))
+        return cached(("v", round(s, 14)), lambda: solve_rescaled(f, g, s, medium))
 
     lhs = v_at(t).values
     geff = SampledField(grid, g.values + 0.5 * medium.k * f.values)
-    rhs = cached(("data", round(t, 14)),
-                 lambda: (0.5 * (sample_shifted(f, ct) + sample_shifted(f, -ct))
-                          + window_integral(geff, ct) / (2.0 * c)))
+    rhs = cached("data", lambda: (0.5 * (sample_shifted(f, ct) + sample_shifted(f, -ct))
+                                  + window_integral(geff, ct) / (2.0 * c)))
 
     ds = t / cfg.n_slabs
     outer = simpson_pattern(cfg.n_slabs) * (ds / 3.0)
     source = np.zeros(grid.n)
     for m in range(cfg.n_slabs):  # the s = t node has a collapsed window
         s = m * ds
-        source += outer[m] * cached(("window", round(s, 14), round(t, 14)),
+        source += outer[m] * cached(("window", round(s, 14)),
                                     lambda: window_integral(v_at(s), c * (t - s)))
     rhs = rhs + (medium.k ** 2 / (8.0 * c)) * source
 

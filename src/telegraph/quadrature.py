@@ -15,10 +15,12 @@ from .errors import UsageError
 
 # Simpson subintervals: at least MIN_PANELS per window and PANEL_FACTOR per
 # grid spacing of window (``panel_count``); PANELS_PER_BIN per bin in
-# ``integrate_bins``.
+# ``integrate_bins``; MASS_PANELS over a measure's support in
+# ``MixedMeasure.density_mass``.
 MIN_PANELS = 64
 PANEL_FACTOR = 4
 PANELS_PER_BIN = 8
+MASS_PANELS = 16384
 
 
 def panel_count(window: float, dx: float) -> int:

@@ -16,7 +16,7 @@ I1(w)/w), so no singular treatment is required.  ``_cone_stencils`` builds
 every K and K_t window from the kernel module's one evaluator, with the
 d'Alembert term as K_t's atoms of weight 1/2 on the end nodes, and folds
 them with cubic interpolation into one stencil pair per solve time for
-every field (``fields._window_sum`` has the edge rule: off-grid nodes add 0).
+every field (``fields._fold`` has the edge rule: off-grid nodes add 0).
 
 Point data at the origin need no quadrature: ``point_source_solution``
 gives each kind's atoms and density in closed form.
@@ -94,7 +94,7 @@ def solve_rescaled(f: SampledField, g: SampledField, t: float, medium: MediumPar
     result = SampledField(grid, vals)
     if not error_estimate:
         return result
-    coarse, = _rescaled_values([(f, g)], t, medium, max(2, n_sub // 2 + (n_sub // 2) % 2))
+    coarse, = _rescaled_values([(f, g)], t, medium, n_sub // 2 + (n_sub // 2) % 2)
     return result, float(np.max(np.abs(vals - coarse)) / 15.0)
 
 

@@ -122,7 +122,7 @@ def test_criterion_4_fd_cross_oracle():
         grid = grid_over(8.0, inv_dx)
         f = gaussian(grid)
         g = tg.zeros(grid)
-        cfg = tg.fd_config_for(1.0, grid, m, 0.9)
+        cfg = tg.fd_config_for(1.0, grid, m)
         approx = tg.fd_solve(f, g, 1.0, m, cfg)
         errors[inv_dx] = tg.rel_l2_error(approx, tg.solve(f, g, 1.0, m))
     ratio = errors[512] / errors[1024]
@@ -143,7 +143,7 @@ def test_criterion_5_mass_conservation():
         grid = tg.SpaceGrid(-1.2 * ct, 2.4 * ct / 2048, 2049)
         for kind in ("delta_position", "financial"):
             measure = tg.point_source_solution(kind, t, m, grid)
-            mass_dev = abs(measure.mass_breakdown(16384).total - 1.0)
+            mass_dev = abs(measure.mass_breakdown().total - 1.0)
             ok &= mass_dev < 1e-6
             if kind == "financial":
                 atom_dev = abs(measure.atoms[0][1] - math.exp(-0.5 * k * t))

@@ -258,9 +258,6 @@ class TestOutOfDomainInput:
         # at t < 0, e^{-kt/2} itself, or e^{-kt/2} times the field, overflows float64
         ["solve", "--t", "-20", "--k", "100", "--n", "257"],
         ["solve", "--t", "-10", "--k", "140", "--n", "257"],
-        # Simpson needs an even panel count >= 2
-        ["delta", "--mass-panels", "0"],
-        ["delta", "--mass-panels", "-4"],
     ])
     def test_usage_error_exits_2(self, capsys, argv):
         code, out, err = run_cli(argv, capsys)
@@ -304,6 +301,9 @@ class TestConfigHandling:
         ("kernel", "format = xml"),
         ("solve", "init = bogus"),
         ("kernel", "xmni = 0"),
+        # fixed settings, not options
+        ("delta", "mass_panels = 8"),
+        ("validate", "courant = 0.5"),
     ])
     def test_bad_config_entry_exits_2(self, capsys, tmp_path, command, entry):
         # file values get the flags' choice checks, and unknown keys are errors
@@ -336,3 +336,11 @@ class TestConfigHandling:
             main(["delta", "--kind", "not-a-kind"])
         assert exc.value.code == 2
 
+    @pytest.mark.parametrize("argv", [
+        ["delta", "--mass-panels", "8"],
+        ["validate", "--suite", "fd", "--courant", "0.5"],
+    ])
+    def test_fixed_setting_is_no_flag(self, argv):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2

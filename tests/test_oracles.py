@@ -20,7 +20,7 @@ class TestFDConfig:
 
     def test_config_for_hits_final_time(self, medium):
         grid = tg.SpaceGrid(-4.0, 1.0 / 64, 513)
-        cfg = tg.fd_config_for(1.0, grid, medium, 0.9)
+        cfg = tg.fd_config_for(1.0, grid, medium)
         assert medium.c * cfg.dt / grid.dx <= 0.9 + 1e-12
         assert abs(cfg.steps * cfg.dt - 1.0) < 1e-12
 
@@ -42,7 +42,7 @@ class TestFDSolve:
         m = tg.MediumParams(k=0.0, c=1.0)
         grid = tg.SpaceGrid(-8.0, 1.0 / 512, 8193)
         f = gaussian(grid)
-        cfg = tg.fd_config_for(1.0, grid, m, 0.9)
+        cfg = tg.fd_config_for(1.0, grid, m)
         out = tg.fd_solve(f, tg.zeros(grid), 1.0, m, cfg)
         x = grid.points()
         exact = tg.SampledField(grid, 0.5 * (np.exp(-(x + 1) ** 2)
@@ -52,7 +52,7 @@ class TestFDSolve:
     def test_damped_matches_convolution(self, medium, grid_fine):
         f = gaussian(grid_fine)
         g = tg.zeros(grid_fine)
-        cfg = tg.fd_config_for(1.0, grid_fine, medium, 0.9)
+        cfg = tg.fd_config_for(1.0, grid_fine, medium)
         approx = tg.fd_solve(f, g, 1.0, medium, cfg)
         reference = tg.solve(f, g, 1.0, medium)
         assert tg.rel_l2_error(approx, reference) < 1e-3
@@ -63,7 +63,7 @@ class TestFDSolve:
             grid = tg.SpaceGrid(-8.0, 1.0 / inv_dx, 16 * inv_dx + 1)
             f = gaussian(grid)
             g = tg.zeros(grid)
-            cfg = tg.fd_config_for(1.0, grid, medium, 0.9)
+            cfg = tg.fd_config_for(1.0, grid, medium)
             approx = tg.fd_solve(f, g, 1.0, medium, cfg)
             errors[inv_dx] = tg.rel_l2_error(approx, tg.solve(f, g, 1.0, medium))
         assert 3.5 <= errors[128] / errors[256] <= 4.5
@@ -76,7 +76,7 @@ class TestFDSolve:
         g = tg.zeros(grid)
         horizon = 2.0 / medium.k
         for t in (0.5, 1.0, 1.5, horizon):
-            cfg = tg.fd_config_for(t, grid, medium, 0.9)
+            cfg = tg.fd_config_for(t, grid, medium)
             fd = tg.fd_solve(f, g, t, medium, cfg)
             conv = tg.solve(f, g, t, medium)
             assert np.max(np.abs(fd.values - conv.values)) < 1e-4
@@ -259,6 +259,22 @@ class TestDuhamel:
             cfg = tg.DuhamelConfig(n_slabs=n)
             assert (tg.duhamel_residual(f, g, 1.0, medium, cfg, cache)
                     == tg.duhamel_residual(f, g, 1.0, medium, cfg))
+
+    def test_cache_refuses_other_inputs(self):
+        # a cache filled for f1 once gave f1's residual 3.02e-6 for f2 (6.05e-6)
+        m = tg.MediumParams(k=1.5, c=1.0)
+        grid = tg.SpaceGrid(-4.0, 1.0 / 64, 513)
+        f1, f2 = gaussian(grid), gaussian(grid, center=0.3, amp=2.0)
+        g = tg.zeros(grid)
+        cfg = tg.DuhamelConfig(n_slabs=8)
+        cache = {}
+        r1 = tg.duhamel_residual(f1, g, 1.0, m, cfg, cache)
+        assert tg.duhamel_residual(f1, g, 1.0, m, cfg, cache) == r1
+        for args in ((f2, g, 1.0, m), (f1, tg.zeros(grid), 1.0, m),
+                     (f1, g, 0.5, m), (f1, g, 1.0, tg.MediumParams(k=1.0, c=1.0))):
+            with pytest.raises(tg.UsageError, match="cache"):
+                tg.duhamel_residual(*args, cfg, cache)
+        assert tg.duhamel_residual(f2, g, 1.0, m, cfg) > 1.5 * r1
 
     def test_cone_must_fit(self, medium):
         grid = tg.SpaceGrid(-0.4, 0.01, 81)

@@ -420,13 +420,17 @@ class TestConeEdgeRule:
     def test_duhamel_windows_match_node_loop(self, monkeypatch):
         calls = []
 
-        def recording_window_sum(fld, offsets, weights):
-            result = window_sum(fld, offsets, weights)
-            calls.append((fld, offsets, weights, result))
-            return result
+        def recording_fold(grid, offsets, weights):
+            apply = fold(grid, offsets, weights)
 
-        window_sum = oracles._window_sum
-        monkeypatch.setattr(oracles, "_window_sum", recording_window_sum)
+            def recording_apply(values):
+                result = apply(values)
+                calls.append((tg.SampledField(grid, values), offsets, weights, result))
+                return result
+            return recording_apply
+
+        fold = oracles._fold
+        monkeypatch.setattr(oracles, "_fold", recording_fold)
         f, g = edge_data()
         cfg = tg.DuhamelConfig(n_slabs=4)
         tg.duhamel_residual(f, g, 1.5, EDGE_MEDIUM, cfg)
