@@ -3,10 +3,10 @@
 The damped wave (telegrapher's) equation u_tt + k u_t = c^2 u_xx is solved
 on the whole line through its explicit light-cone kernel: modified Bessel
 convolutions for function data, exact atoms-plus-density mixed measures for
-point-mass data.  Three independent oracles (finite differences, persistent
-random walk Monte Carlo, the Duhamel fixed-point residual) cross-check every
-route, and a batch CLI exposes kernels, solutions, measures and validation
-suites as CSV/JSON tables.
+point-mass data.  Three oracles (finite differences, persistent random walk
+Monte Carlo and the Duhamel fixed-point residual, which calls the solver)
+cross-check every route, and a batch CLI exposes kernels, solutions,
+measures and validation suites as CSV/JSON tables.
 """
 
 from .bessel import BesselEval, i0, i0_eval, i1, i1_eval, i1_over_z

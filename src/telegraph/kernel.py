@@ -78,21 +78,25 @@ def _cone_values(x: np.ndarray, lam: np.ndarray, t: float, medium: MediumParams,
     lam = c^2 t^2 - x^2 is the caller's, clipped at 0 here.  psi takes its
     edge value sgn(t)/(2c) on the points of the mask edge; psi_t,reg keeps
     each point's own lam.  c psi_x is -(x/(ct)) psi_t,reg, its edge atoms
-    the caller's.  A term of zero weight costs no Bessel evaluation.
+    the caller's.  A term of zero weight costs no Bessel evaluation; a value
+    past float64 raises DomainError.
     """
     arg = 2.0 * medium.alpha * np.sqrt(np.maximum(lam, 0.0))
     out = 0.0
-    if w_psi != 0.0:
-        edge_value = (math.copysign(1.0, t) if t != 0.0 else 0.0) / (2.0 * medium.c)
-        out = edge_value * bessel.i0_array(arg)
-        if edge is not None:
-            out[edge] = edge_value
-        out *= w_psi
-    if w_reg != 0.0 or w_dip != 0.0:
-        reg = (2.0 * medium.alpha ** 2 * medium.c * abs(t)) * bessel.i1_over_z_array(arg)
-        ct = medium.c * t
-        reg *= (w_reg * ct - w_dip * x) / ct if w_dip != 0.0 else w_reg
-        out += reg
+    with np.errstate(over="ignore", invalid="ignore"):
+        if w_psi != 0.0:
+            edge_value = (math.copysign(1.0, t) if t != 0.0 else 0.0) / (2.0 * medium.c)
+            out = edge_value * bessel.i0_array(arg)
+            if edge is not None:
+                out[edge] = edge_value
+            out *= w_psi
+        if w_reg != 0.0 or w_dip != 0.0:
+            reg = (2.0 * medium.alpha ** 2 * medium.c * abs(t)) * bessel.i1_over_z_array(arg)
+            ct = medium.c * t
+            reg *= (w_reg * ct - w_dip * x) / ct if w_dip != 0.0 else w_reg
+            out += reg
+    if not np.isfinite(out).all():
+        raise DomainError(f"kernel values exceed float64 at k|t| = {medium.k * abs(t):g}")
     return out
 
 
@@ -107,11 +111,8 @@ def _cone_combination(x, t: float, medium: MediumParams, w_psi: float, w_reg: fl
     lam, boundary, inside = _masks(x, t, medium.c)
     supported = boundary | inside
     out = np.zeros_like(x)
-    with np.errstate(over="ignore", invalid="ignore"):
-        out[supported] = _cone_values(x[supported], lam[supported], t, medium,
-                                      w_psi, w_reg, w_dip, boundary[supported])
-    if not np.all(np.isfinite(out)):
-        raise DomainError(f"kernel values exceed float64 at k|t| = {medium.k * abs(t):g}")
+    out[supported] = _cone_values(x[supported], lam[supported], t, medium,
+                                  w_psi, w_reg, w_dip, boundary[supported])
     return float(out[0]) if scalar else out
 
 

@@ -1,6 +1,7 @@
-"""Independent verification engines for the convolution solver.
+"""Verification engines for the convolution solver.
 
-Three routes that share no code with the closed-form path:
+Three routes besides the closed-form path; the first two share no code
+with it, the Duhamel residual calls ``solve_rescaled`` and ``fields._fold``:
 
 * an explicit second-order leapfrog discretization of the damped wave
   equation (CFL-limited, zero-Dirichlet ends, causally isolated);

@@ -11,7 +11,7 @@ import math
 
 import numpy as np
 
-from .errors import UsageError
+from .errors import DomainError, UsageError
 
 # Simpson subintervals: at least MIN_PANELS per window and PANEL_FACTOR per
 # grid spacing of window (``panel_count``); PANELS_PER_BIN per bin in
@@ -24,10 +24,14 @@ MASS_PANELS = 16384
 
 
 def panel_count(window: float, dx: float) -> int:
-    """Even subinterval count for a window: max(MIN_PANELS, PANEL_FACTOR*window/dx)."""
+    """Even subinterval count for a window: max(MIN_PANELS, PANEL_FACTOR*window/dx);
+    DomainError past 2^53, where float64 no longer holds every node index."""
     if window < 0 or dx <= 0:
         raise UsageError("window must be >= 0 and dx > 0")
-    n = max(MIN_PANELS, int(math.ceil(PANEL_FACTOR * window / dx)))
+    n = PANEL_FACTOR * window / dx
+    if not n <= 2.0 ** 53:
+        raise DomainError(f"a window of {window:g} at dx = {dx:g} needs {n:g} > 2^53 panels")
+    n = max(MIN_PANELS, int(math.ceil(n)))
     return n + (n % 2)
 
 

@@ -32,7 +32,7 @@ import numpy as np
 from .errors import DomainError, UsageError
 from .fields import MixedMeasure, SampledField, SpaceGrid, _fold, _outside_support
 from .kernel import MediumParams, _check_time, _cone_combination, _cone_values, _masks
-from .quadrature import panel_count, simpson_nodes_weights
+from .quadrature import panel_count
 
 #: Point data at the origin as rows (a, b, d): f = a delta, g = b delta + d c delta'.
 _POINT_DATA = {
@@ -55,19 +55,31 @@ def _cone_stencils(grid: SpaceGrid, t: float, medium: MediumParams, n_sub: int,
 
     "kernel" is K = psi; "kernel_dt" is K_t, psi_t,reg plus atoms of weight
     1/2 on the end nodes -+ c|t| that carry the d'Alembert term (at t = 0
-    every Simpson weight is 0 and they sum to a delta).  Each kernel
-    evaluates its Bessel family once.  Returns ``fields._fold``'s apply
-    step, rows in the order named, values at the points of out_grid.
+    every Simpson weight is 0 and they sum to a delta).  Nodes y whose
+    points x - y lie over 3 cells off the grid for every x of out_grid add
+    0 and are not built.  Each kernel evaluates its Bessel family once.
+    Returns ``fields._fold``'s apply step, rows in the order named.
     """
     radius = medium.c * abs(t)
-    offsets, weights = simpson_nodes_weights(-radius, radius, n_sub)
+    out = grid if out_grid is None else out_grid
+    h = 2.0 * radius / n_sub
+    first, last = 0, n_sub
+    if h > 0.0:  # node indices of the offsets in [lo, hi]; at t = 0 all nodes sit at 0
+        lo, hi = out.x0 - grid.x_end - 3.0 * grid.dx, out.x_end - grid.x0 + 3.0 * grid.dx
+        first = math.floor(min(max(0.0, (lo + radius) / h), n_sub))
+        last = math.ceil(min(max(0.0, (hi + radius) / h), n_sub))
+    j = np.arange(first, last + 1)
+    offsets = -radius + h * j
+    offsets[j == n_sub] = radius
+    ends = (j == 0) | (j == n_sub)
+    weights = np.where(ends, 1.0, np.where(j % 2, 4.0, 2.0)) * (h / 3.0)
     lam = (medium.c * t) ** 2 - offsets ** 2
     rows = []
     for name in kernels:
         dt = name == "kernel_dt"
         rows.append(weights * _cone_values(offsets, lam, t, medium, 1.0 - dt, 1.0 * dt, 0.0))
         if dt:
-            rows[-1][[0, -1]] += 0.5
+            rows[-1][ends] += 0.5
     return _fold(grid, offsets, np.array(rows), out_grid)
 
 

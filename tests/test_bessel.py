@@ -87,6 +87,25 @@ class TestOracleAgreement:
             assert ev1.abs_error_bound >= 0.0
 
 
+class TestMpmathReference:
+    # every regime up to the largest argument whose I0 and I1 fit float64;
+    # above 20 the roundoff of e^z in the expansion's prefactor sets the error
+    def test_relative_error(self):
+        mpmath = pytest.importorskip("mpmath")
+        from telegraph import bessel
+        z = np.concatenate([np.geomspace(1e-3, 15.0, 60), np.linspace(15.01, 20.0, 120),
+                            np.geomspace(20.01, 713.9, 200)])
+        with mpmath.workdps(30):
+            ref1 = np.array([float(mpmath.besseli(1, v)) for v in z])
+            refs = {"i0": np.array([float(mpmath.besseli(0, v)) for v in z]),
+                    "i1": ref1, "i1_over_z": ref1 / z}
+        bound = np.where(z <= 20.0, 5e-15, 1e-13)
+        for name, ref in refs.items():
+            scalar = np.array([getattr(tg, name)(float(v)) for v in z])
+            for got in (getattr(bessel, name + "_array")(z), scalar):
+                assert np.all(np.abs(got / ref - 1.0) <= bound), name
+
+
 class TestOdeResidual:
     @pytest.mark.parametrize("z", [0.5, 1.0, 2.0, 5.0, 10.0])
     def test_modified_bessel_ode(self, z):

@@ -258,6 +258,13 @@ class TestOutOfDomainInput:
         # at t < 0, e^{-kt/2} itself, or e^{-kt/2} times the field, overflows float64
         ["solve", "--t", "-20", "--k", "100", "--n", "257"],
         ["solve", "--t", "-10", "--k", "140", "--n", "257"],
+        # at t > 0 the growth-compensated kernel leaves float64 once k t / 2 passes ~714
+        ["delta", "--k", "3000", "--t", "1"],
+        ["delta", "--kind", "financial", "--k", "1500", "--t", "1"],
+        ["solve", "--k", "3000", "--t", "1", "--n", "1025"],
+        # a cone window too wide for float64 to index its Simpson nodes
+        ["solve", "--t", "1e306", "--n", "257"],
+        ["solve", "--t", "1.7e308", "--n", "257"],
     ])
     def test_usage_error_exits_2(self, capsys, argv):
         code, out, err = run_cli(argv, capsys)

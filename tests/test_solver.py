@@ -355,9 +355,10 @@ def assert_matches_reference(got, reference):
 
 class TestConeEdgeRule:
     # t = 8.2 puts the end nodes' points 64 to 66 cells away, past the whole
-    # grid; 10000 panels fold in more than one block of nodes
+    # grid; 10000 panels fold in more than one block of nodes; at t = 20 the
+    # nodes that cannot reach the grid are not built
     @pytest.mark.parametrize("t,n_panels", [(3.0, None), (-3.0, None), (8.2, None),
-                                            (-3.0, 10000)])
+                                            (-3.0, 10000), (20.0, None)])
     def test_solve_rescaled_matches_node_loop(self, t, n_panels):
         f, g = edge_data()
         radius = EDGE_MEDIUM.c * abs(t)
@@ -372,6 +373,24 @@ class TestConeEdgeRule:
         else:
             got, = solver._rescaled_values([(f, g)], t, EDGE_MEDIUM, n_panels)
         assert_matches_reference(got, reference)
+
+    def test_window_far_past_the_grid_builds_only_the_reaching_nodes(self, monkeypatch):
+        # k = 0, t = +-3000: from every point the cone covers the whole grid, so
+        # u = sgn(t)/2 int g = +-sqrt(pi)/2; of the 384000 panels only those
+        # whose offsets can reach the grid, 4 a cell, are built
+        built = []
+
+        def recording_fold(grid, offsets, weights, out_grid=None):
+            built.append(offsets.size)
+            return fold(grid, offsets, weights, out_grid)
+
+        fold = solver._fold
+        monkeypatch.setattr(solver, "_fold", recording_fold)
+        grid = tg.SpaceGrid(-8.0, 1.0 / 16, 257)
+        for t in (3000.0, -3000.0):
+            u = tg.solve(tg.zeros(grid), gaussian(grid), t, tg.MediumParams(k=0.0, c=1.0))
+            assert np.max(np.abs(u.values - math.copysign(0.5 * math.sqrt(math.pi), t))) < 1e-14
+        assert built and max(built) <= 4 * (2 * (grid.n - 1) + 6) + 3
 
     @pytest.mark.parametrize("which", ["kernel", "kernel_dt"])
     def test_convolve_measure_matches_node_loop(self, which):
