@@ -11,7 +11,7 @@ odd in t, even in x, equal to sgn(t)/(2c) on the characteristics.  Its
 time derivative splits into two Dirac atoms of weight 1/2 riding the
 cone boundary (at x = -ct and x = +ct) plus a bounded density inside.
 One evaluator, ``_cone_values``, computes both for all real times: at
-points, in the solver's point-data rows and at ``solver._cone_stencils``' nodes.
+points, point-data rows included, and at ``solver._cone_stencils``' nodes.
 """
 
 from __future__ import annotations
@@ -78,19 +78,21 @@ def _cone_values(x: np.ndarray, lam: np.ndarray, t: float, medium: MediumParams,
     lam = c^2 t^2 - x^2 is the caller's, clipped at 0 here.  psi takes its
     edge value sgn(t)/(2c) on the points of the mask edge; psi_t,reg keeps
     each point's own lam.  c psi_x is -(x/(ct)) psi_t,reg, its edge atoms
-    the caller's.  A term of zero weight costs no Bessel evaluation; a value
-    past float64 raises DomainError.
+    the caller's.  No term costs a Bessel evaluation at k = 0 or at zero
+    weight (the result is the scalar 0.0 if no term remains); a value past
+    float64 raises DomainError.
     """
-    arg = 2.0 * medium.alpha * np.sqrt(np.maximum(lam, 0.0))
+    free = medium.alpha == 0.0  # k = 0: I0 = 1 and psi_t,reg = 0, even where lam = inf
+    arg = None if free else 2.0 * medium.alpha * np.sqrt(np.maximum(lam, 0.0))
     out = 0.0
     with np.errstate(over="ignore", invalid="ignore"):
         if w_psi != 0.0:
             edge_value = (math.copysign(1.0, t) if t != 0.0 else 0.0) / (2.0 * medium.c)
-            out = edge_value * bessel.i0_array(arg)
+            out = edge_value * (np.ones(np.shape(lam)) if free else bessel.i0_array(arg))
             if edge is not None:
                 out[edge] = edge_value
             out *= w_psi
-        if w_reg != 0.0 or w_dip != 0.0:
+        if (w_reg != 0.0 or w_dip != 0.0) and not free:
             reg = (2.0 * medium.alpha ** 2 * medium.c * abs(t)) * bessel.i1_over_z_array(arg)
             ct = medium.c * t
             reg *= (w_reg * ct - w_dip * x) / ct if w_dip != 0.0 else w_reg

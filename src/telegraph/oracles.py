@@ -1,7 +1,8 @@
 """Verification engines for the convolution solver.
 
 Three routes besides the closed-form path; the first two share no code
-with it, the Duhamel residual calls ``solve_rescaled`` and ``fields._fold``:
+with it, the Duhamel residual calls ``solve_rescaled`` and the solver's
+cone stencils:
 
 * an explicit second-order leapfrog discretization of the damped wave
   equation (CFL-limited, zero-Dirichlet ends, causally isolated);
@@ -21,11 +22,10 @@ from typing import Optional
 import numpy as np
 
 from .errors import UsageError
-from .fields import MixedMeasure, SampledField, SpaceGrid, _fold, sample_shifted
+from .fields import MixedMeasure, SampledField, SpaceGrid
 from .kernel import MediumParams
-from .quadrature import (integrate_bins, panel_count, simpson_nodes_weights,
-                         simpson_pattern)
-from .solver import solve_rescaled
+from .quadrature import integrate_bins, simpson_pattern
+from .solver import _cone_stencils, _rescaled_values, solve_rescaled
 
 #: Walkers per RNG block; each block draws from its own Philox stream
 #: derived from (seed, block index), so results are reproducible and
@@ -276,16 +276,18 @@ def duhamel_residual(f: SampledField, g: SampledField, t: float,
                      cache: Optional[dict] = None) -> float:
     """Max-abs residual of the transformed equation's fixed-point identity.
 
-    The growth-compensated field must satisfy
+    The growth-compensated field v solves v_tt = c^2 v_xx + (k^2/4) v, so
+    with K0 the free-wave (k = 0) kernel, 1/(2c) on the cone, it satisfies
 
-        v(x,t) = [f(x+ct)+f(x-ct)]/2 + (1/2c) int_{x-ct}^{x+ct} (g + (k/2) f)
-                 + (k^2/8c) int_0^t int_{x-c(t-s)}^{x+c(t-s)} v(y,s) dy ds,
+        v(t) = K0_t * f + K0 * (g + (k/2) f) + (k^2/4) int_0^t K0(t-s) * v(s) ds,
 
-    so the difference between ``solve_rescaled`` and the right-hand side
+    the K0_t term being the d'Alembert mean [f(x+ct) + f(x-ct)]/2.  Both
+    terms use the solver's cone stencils on MediumParams(k=0, c), so the
+    difference between ``solve_rescaled`` and the right-hand side
     (with v at intermediate times supplied by the solver itself) measures
     self-consistency.  Evaluated at every grid point whose full dependency
     cone fits inside the grid.  One dict passed as ``cache`` to the levels
-    of a refinement keeps their solves and window integrals, keyed by slab
+    of a refinement keeps their solves and windows, keyed by slab
     times rounded to 14 digits; the value is bitwise the same with or
     without it.  The first call binds the dict to its (f, g, t, medium), and
     a later call with other ones (f and g by identity) raises UsageError.
@@ -295,19 +297,11 @@ def duhamel_residual(f: SampledField, g: SampledField, t: float,
     if t <= 0:
         raise UsageError(f"fixed-point residual needs t > 0, got {t}")
     grid = f.grid
-    c = medium.c
-    ct = c * t
+    ct = medium.c * t
     x = grid.points()
     valid = (x - ct >= grid.x0 - 1e-12 * grid.dx) & (x + ct <= grid.x_end + 1e-12 * grid.dx)
     if not valid.any():
         raise UsageError("dependency cone exceeds the grid at every point")
-
-    def window_integral(fld: SampledField, radius: float) -> np.ndarray:
-        """int_{x-radius}^{x+radius} fld(y) dy at every grid point."""
-        if radius <= 0:
-            return np.zeros(grid.n)
-        nodes, weights = simpson_nodes_weights(-radius, radius, panel_count(2 * radius, grid.dx))
-        return _fold(grid, nodes, weights)(fld.values)
 
     cache = {} if cache is None else cache  # no key repeats within one call
     bf, bg, bt, bm = cache.setdefault("inputs", (f, g, t, medium))
@@ -323,18 +317,18 @@ def duhamel_residual(f: SampledField, g: SampledField, t: float,
         return cached(("v", round(s, 14)), lambda: solve_rescaled(f, g, s, medium))
 
     lhs = v_at(t).values
+    free = MediumParams(k=0.0, c=medium.c)
     geff = SampledField(grid, g.values + 0.5 * medium.k * f.values)
-    rhs = cached("data", lambda: (0.5 * (sample_shifted(f, ct) + sample_shifted(f, -ct))
-                                  + window_integral(geff, ct) / (2.0 * c)))
+    rhs = cached("data", lambda: _rescaled_values([(f, geff)], t, free)[0])
 
     ds = t / cfg.n_slabs
     outer = simpson_pattern(cfg.n_slabs) * (ds / 3.0)
     source = np.zeros(grid.n)
     for m in range(cfg.n_slabs):  # the s = t node has a collapsed window
         s = m * ds
-        source += outer[m] * cached(("window", round(s, 14)),
-                                    lambda: window_integral(v_at(s), c * (t - s)))
-    rhs = rhs + (medium.k ** 2 / (8.0 * c)) * source
+        source += outer[m] * cached(("window", round(s, 14)), lambda: _cone_stencils(
+            grid, t - s, free, ("kernel",))(v_at(s).values))
+    rhs = rhs + (medium.k ** 2 / 4.0) * source
 
     return float(np.max(np.abs(lhs[valid] - rhs[valid])))
 

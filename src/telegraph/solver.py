@@ -12,8 +12,8 @@ either sign of t, which is what ``solve_rescaled`` returns.
 
 Quadrature is composite Simpson on the cone window; the integrands are
 continuous up to the window endpoints (the I1 term is evaluated through
-I1(w)/w), so no singular treatment is required.  ``_cone_stencils`` builds
-every K and K_t window from the kernel module's one evaluator, with the
+I1(w)/w), so no singular treatment is required.  ``_cone_stencils`` sizes
+and builds every K and K_t window, the Duhamel oracle's too, with the
 d'Alembert term as K_t's atoms of weight 1/2 on the end nodes, and folds
 them with cubic interpolation into one stencil pair per solve time for
 every field (``fields._fold`` has the edge rule: off-grid nodes add 0).
@@ -49,18 +49,22 @@ def _require_shared_grid(f: SampledField, g: SampledField) -> SpaceGrid:
     return f.grid
 
 
-def _cone_stencils(grid: SpaceGrid, t: float, medium: MediumParams, n_sub: int,
-                   kernels=("kernel_dt", "kernel"), out_grid: Optional[SpaceGrid] = None):
+def _cone_stencils(grid: SpaceGrid, t: float, medium: MediumParams,
+                   kernels=("kernel_dt", "kernel"), out_grid: Optional[SpaceGrid] = None,
+                   n_sub: Optional[int] = None):
     """Simpson windows over |y| <= c|t| of the named kernels, folded for data on grid.
 
     "kernel" is K = psi; "kernel_dt" is K_t, psi_t,reg plus atoms of weight
     1/2 on the end nodes -+ c|t| that carry the d'Alembert term (at t = 0
-    every Simpson weight is 0 and they sum to a delta).  Nodes y whose
-    points x - y lie over 3 cells off the grid for every x of out_grid add
-    0 and are not built.  Each kernel evaluates its Bessel family once.
+    every Simpson weight is 0 and they sum to a delta).  The window has
+    n_sub panels, by default ``panel_count(2 c|t|, grid.dx)``.  Nodes y
+    whose points x - y lie over 3 cells off the grid for every x of
+    out_grid add 0 and are not built.  Each kernel evaluates its Bessel
+    family once.
     Returns ``fields._fold``'s apply step, rows in the order named.
     """
     radius = medium.c * abs(t)
+    n_sub = n_sub or panel_count(2.0 * radius, grid.dx)
     out = grid if out_grid is None else out_grid
     h = 2.0 * radius / n_sub
     first, last = 0, n_sub
@@ -83,11 +87,11 @@ def _cone_stencils(grid: SpaceGrid, t: float, medium: MediumParams, n_sub: int,
     return _fold(grid, offsets, np.array(rows), out_grid)
 
 
-def _rescaled_values(pairs, t: float, medium: MediumParams, n_sub: int) -> list:
+def _rescaled_values(pairs, t: float, medium: MediumParams, n_sub=None) -> list:
     """K_t * f + K * (g + k f/2) for each data pair (f, g), from one stencil pair."""
     if t == 0.0:
         return [f.values.copy() for f, _ in pairs]
-    apply = _cone_stencils(pairs[0][0].grid, t, medium, n_sub)
+    apply = _cone_stencils(pairs[0][0].grid, t, medium, n_sub=n_sub)
     return [apply(f.values) + apply(g.values + 0.5 * medium.k * f.values, 1) for f, g in pairs]
 
 
@@ -101,12 +105,12 @@ def solve_rescaled(f: SampledField, g: SampledField, t: float, medium: MediumPar
     """
     grid = _require_shared_grid(f, g)
     t = _check_time(t)
-    n_sub = panel_count(2.0 * medium.c * abs(t), grid.dx)
-    vals, = _rescaled_values([(f, g)], t, medium, n_sub)
+    vals, = _rescaled_values([(f, g)], t, medium)
     result = SampledField(grid, vals)
     if not error_estimate:
         return result
-    coarse, = _rescaled_values([(f, g)], t, medium, n_sub // 2 + (n_sub // 2) % 2)
+    half = panel_count(2.0 * medium.c * abs(t), grid.dx) // 2
+    coarse, = _rescaled_values([(f, g)], t, medium, half + half % 2)
     return result, float(np.max(np.abs(vals - coarse)) / 15.0)
 
 
@@ -134,10 +138,9 @@ def solve(f: SampledField, g: SampledField, t: float, medium: MediumParams,
 def _solve_shared(pairs, t: float, medium: MediumParams) -> list:
     """``solve`` of each data pair (f, g) at t >= 0, all from one stencil pair."""
     t = _check_time(t)
-    grid = pairs[0][0].grid
     damp = math.exp(-0.5 * medium.k * t)
-    vals = _rescaled_values(pairs, t, medium, panel_count(2.0 * medium.c * t, grid.dx))
-    return [SampledField(grid, damp * v) for v in vals]
+    vals = _rescaled_values(pairs, t, medium)
+    return [SampledField(pairs[0][0].grid, damp * v) for v in vals]
 
 
 def _velocity_data(f: SampledField, g: SampledField, medium: MediumParams) -> SampledField:
@@ -145,7 +148,9 @@ def _velocity_data(f: SampledField, g: SampledField, medium: MediumParams) -> Sa
     grid = _require_shared_grid(f, g)
     v = np.pad(f.values, 2)
     d2 = 16.0 * (v[1:-3] + v[3:-1]) - (v[:-4] + v[4:]) - 30.0 * v[2:-2]
-    return SampledField(grid, medium.c ** 2 * d2 / (12.0 * grid.dx ** 2) - medium.k * g.values)
+    with np.errstate(over="ignore", invalid="ignore"):  # a huge c fails as non-finite data
+        h = medium.c * medium.c * d2 / (12.0 * grid.dx ** 2) - medium.k * g.values
+    return SampledField(grid, h)
 
 
 def velocity(f: SampledField, g: SampledField, t: float, medium: MediumParams,
@@ -191,10 +196,8 @@ def point_source_solution(kind: str, t: float, medium: MediumParams,
         return damp * _cone_combination(x, t, medium, w_psi, a, d)
 
     x = grid.points()
-    lam, _, inside = _masks(x, t, medium.c)
-    # density_fn on the grid, classified once; the edge points get no sample
-    samples = np.zeros(grid.n)
-    samples[inside] = damp * _cone_values(x[inside], lam[inside], t, medium, w_psi, a, d)
+    samples = density_fn(x)
+    samples[_masks(x, t, medium.c)[1]] = 0.0  # the cone-edge points get no sample
     return MixedMeasure(
         atoms=atoms,
         density=SampledField(grid, samples),
@@ -234,6 +237,7 @@ def convolve_measure(m: MixedMeasure, t: float, medium: MediumParams, which: str
     if out_grid is None:
         if m.density is None:
             raise UsageError("out_grid is required for a measure without density samples")
+        panel_count(2.0 * radius, m.density.grid.dx)  # too wide: DomainError before allocating
         out_grid = m.density.grid.extended(int(math.ceil(radius / m.density.grid.dx)) + 2)
     elif m.density is not None and out_grid.dx != m.density.grid.dx:
         raise UsageError(f"out_grid spacing {out_grid.dx} differs from the density "
@@ -251,9 +255,7 @@ def convolve_measure(m: MixedMeasure, t: float, medium: MediumParams, which: str
         dens += _cone_combination(x - pos, t, medium, w_psi, w_reg, 0.0)
 
     if m.density is not None:
-        n_sub = panel_count(2 * radius, m.density.grid.dx)
-        dens += _cone_stencils(m.density.grid, t, medium, n_sub, (which,), out_grid)(
-            m.density.values)
+        dens += _cone_stencils(m.density.grid, t, medium, (which,), out_grid)(m.density.values)
 
     new_lo = min([lo] + [p for p, _ in m.atoms], default=lo) - radius
     new_hi = max([hi] + [p for p, _ in m.atoms], default=hi) + radius

@@ -70,6 +70,14 @@ class TestKernelValues:
         m = tg.MediumParams(k=4.0, c=1.0)
         assert tg.fundamental_solution(1.0, 1.0, m) == 0.5
 
+    @pytest.mark.parametrize("t", [1e300, -1e300])
+    def test_undamped_at_huge_time(self, t):
+        # c^2 t^2 = inf: at alpha = 0 the Bessel argument is 0, not 0 * inf = nan
+        m = tg.MediumParams(k=0.0, c=1.0)
+        x = np.linspace(-8.0, 8.0, 5)
+        assert np.all(tg.fundamental_solution(x, t, m) == math.copysign(0.5, t))
+        assert np.all(tg.time_derivative_regular(x, t, m) == 0.0)
+
     def test_negative_time_flips_sign(self):
         m = tg.MediumParams(k=4.0, c=1.0)
         assert (tg.fundamental_solution(0.0, -1.0, m)

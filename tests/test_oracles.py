@@ -235,7 +235,9 @@ class TestDuhamel:
         g = gaussian(grid, center=0.3, width=0.9)
         assert tg.duhamel_residual(f, g, 1.0, m, tg.DuhamelConfig(n_slabs=4)) < 1e-8
 
-    def test_refinement_decreases_residual(self, medium):
+    @pytest.mark.parametrize("c", [1.0, 0.7])
+    def test_refinement_decreases_residual(self, c):
+        medium = tg.MediumParams(k=1.0, c=c)
         grid = tg.SpaceGrid(-4.0, 1.0 / 128, 1025)
         f = gaussian(grid)
         g = tg.zeros(grid)

@@ -170,6 +170,15 @@ class TestVelocity:
         inside = np.abs(x) < 4.0 - (medium.c * abs(t) + 3.0 * dx)
         assert np.max(np.abs(near - far)[inside]) <= 1e-12 * np.max(np.abs(far[inside]))
 
+    def test_huge_wave_speed_is_domain_error(self, grid_coarse):
+        # c^2 = inf makes c^2 f_xx non-finite: a DomainError, not an OverflowError
+        medium = tg.MediumParams(k=1.0, c=1e300)
+        f, g = gaussian(grid_coarse), tg.zeros(grid_coarse)
+        with pytest.raises(tg.DomainError, match="finite"):
+            tg.velocity(f, g, 1e-300, medium)
+        with pytest.raises(tg.DomainError, match="finite"):
+            tg.evolve(1e-300, tg.StatePair(f, g), medium)
+
 
 class TestPointSource:
     def test_unknown_kind(self, medium, grid_coarse):
@@ -323,6 +332,15 @@ class TestConvolveMeasure:
         with pytest.raises(tg.UsageError, match="spacing"):
             tg.convolve_measure(m, 1.0, medium, which, out_grid=out)
 
+    @pytest.mark.parametrize("c, t", [(1.0, 1e20), (1.0, 1e306), (1e8, 1e300), (1e8, -1e300)])
+    def test_default_out_grid_past_the_panel_rule(self, c, t):
+        # the default out grid spans the cone; past the 2^53 panel rule it
+        # is never built (no ValueError or OverflowError from its size)
+        dens = gaussian(tg.SpaceGrid(-4.0, 1.0 / 8, 65))
+        m = tg.MixedMeasure(atoms=(), density=dens, support=(-4.0, 4.0))
+        with pytest.raises(tg.DomainError, match="2\\^53"):
+            tg.convolve_measure(m, t, tg.MediumParams(k=0.0, c=c), "kernel")
+
 
 # Cone windows that reach past the grid, on data nonzero at both grid ends.
 # Edge rule: a Simpson node whose sampled point lies off the grid adds 0,
@@ -437,32 +455,45 @@ class TestConeEdgeRule:
             assert np.array_equal(got, np.pad(dens.values, 2))
 
     def test_duhamel_windows_match_node_loop(self, monkeypatch):
+        # the oracle's free-wave (k = 0) windows: K0_t and K0 of the t window,
+        # then one K0 window per slab; c = 0.7 makes K0 = 1/(2c) inexact
         calls = []
 
-        def recording_fold(grid, offsets, weights):
-            apply = fold(grid, offsets, weights)
+        def record(module):
+            stencils = module._cone_stencils
 
-            def recording_apply(values):
-                result = apply(values)
-                calls.append((tg.SampledField(grid, values), offsets, weights, result))
-                return result
-            return recording_apply
+            def recording_stencils(grid, t, medium, kernels=("kernel_dt", "kernel"),
+                                   out_grid=None, n_sub=None):
+                apply = stencils(grid, t, medium, kernels, out_grid, n_sub)
+                if medium.k != 0.0:
+                    return apply
 
-        fold = oracles._fold
-        monkeypatch.setattr(oracles, "_fold", recording_fold)
+                def recording_apply(values, row=0):
+                    result = apply(values, row)
+                    calls.append((kernels[row], t, tg.SampledField(grid, values), result))
+                    return result
+                return recording_apply
+            monkeypatch.setattr(module, "_cone_stencils", recording_stencils)
+
+        record(solver)
+        record(oracles)
         f, g = edge_data()
         cfg = tg.DuhamelConfig(n_slabs=4)
-        tg.duhamel_residual(f, g, 1.5, EDGE_MEDIUM, cfg)
-        assert len(calls) == 1 + cfg.n_slabs  # the t window, then one per slab
-        for fld, offsets, weights, result in calls:
-            # int_{x-r}^{x+r} fld by Simpson on n_sub panels
-            radius = -offsets[0]
-            n_sub = len(weights) - 1
-            h = 2 * radius / n_sub
-            pattern = simpson_pattern(n_sub) * (h / 3.0)
+        tg.duhamel_residual(f, g, 1.5, tg.MediumParams(k=1.5, c=0.7), cfg)
+        free = tg.MediumParams(k=0.0, c=0.7)
+        assert [(name, t) for name, t, *_ in calls] == [
+            ("kernel_dt", 1.5), ("kernel", 1.5), ("kernel", 1.5), ("kernel", 1.125),
+            ("kernel", 0.75), ("kernel", 0.375)]
+        for name, t, fld, result in calls:
+            offsets, weights, ft_w, f0_w = cone_nodes(t, free, EDGE_GRID.dx)
+            kern = ft_w if name == "kernel_dt" else f0_w
             reference = np.zeros(EDGE_GRID.n)
-            for j in range(n_sub + 1):
-                reference += pattern[j] * tg.sample_shifted(fld, -(-radius + j * h))
+            for j, off in enumerate(offsets):
+                reference += weights[j] * kern[j] * tg.sample_shifted(fld, -off)
+            if name == "kernel_dt":
+                radius = free.c * abs(t)
+                reference += 0.5 * (tg.sample_shifted(fld, radius)
+                                    + tg.sample_shifted(fld, -radius))
             assert_matches_reference(result, reference)
 
 
