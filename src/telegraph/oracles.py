@@ -283,10 +283,10 @@ def duhamel_residual(f: SampledField, g: SampledField, t: float,
 
     the K0_t term being the d'Alembert mean [f(x+ct) + f(x-ct)]/2.  Both
     terms use the solver's cone stencils on MediumParams(k=0, c), so the
-    difference between ``solve_rescaled`` and the right-hand side
-    (with v at intermediate times supplied by the solver itself) measures
-    self-consistency.  Evaluated at every grid point whose full dependency
-    cone fits inside the grid.  One dict passed as ``cache`` to the levels
+    difference from ``solve_rescaled`` (v at the slab times is the solver's
+    own) measures self-consistency; at k = 0 it is 0 by construction.
+    Evaluated at every grid point whose full dependency cone fits inside
+    the grid.  One dict passed as ``cache`` to the levels
     of a refinement keeps their solves and windows, keyed by slab
     times rounded to 14 digits; the value is bitwise the same with or
     without it.  The first call binds the dict to its (f, g, t, medium), and

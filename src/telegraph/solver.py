@@ -109,7 +109,7 @@ def solve_rescaled(f: SampledField, g: SampledField, t: float, medium: MediumPar
     result = SampledField(grid, vals)
     if not error_estimate:
         return result
-    half = panel_count(2.0 * medium.c * abs(t), grid.dx) // 2
+    half = panel_count(2.0 * medium.c * abs(t), grid.dx) // 2  # the fine window's, halved and even
     coarse, = _rescaled_values([(f, g)], t, medium, half + half % 2)
     return result, float(np.max(np.abs(vals - coarse)) / 15.0)
 
@@ -237,7 +237,8 @@ def convolve_measure(m: MixedMeasure, t: float, medium: MediumParams, which: str
     if out_grid is None:
         if m.density is None:
             raise UsageError("out_grid is required for a measure without density samples")
-        panel_count(2.0 * radius, m.density.grid.dx)  # too wide: DomainError before allocating
+        # panel_count's 2^53 rule: a window too wide raises DomainError before the out grid exists
+        panel_count(2.0 * radius, m.density.grid.dx)
         out_grid = m.density.grid.extended(int(math.ceil(radius / m.density.grid.dx)) + 2)
     elif m.density is not None and out_grid.dx != m.density.grid.dx:
         raise UsageError(f"out_grid spacing {out_grid.dx} differs from the density "
