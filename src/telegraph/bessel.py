@@ -1,29 +1,27 @@
 """Modified Bessel functions I0, I1 and the ratio I1(z)/z on z >= 0.
 
-Evaluation is two-regime: the ascending power series up to
-``SERIES_SWITCH`` and the large-argument asymptotic expansion
-``e^z/sqrt(2 pi z) * (1 + 1/(8z) + ...)`` beyond it.  One term loop sums
-both and stops once every entry's term is at most 1e-16 of its sum; the
-series' last term and its index pin its truncation error.  The expansion
-diverges, but its smallest term is about e^{-2z} of the sum (DLMF 10.40),
+Evaluation is two-regime: the ascending power series in q = z^2/4 (DLMF
+10.25.2) up to ``SERIES_SWITCH`` and the expansion e^z/sqrt(2 pi z) *
+(1 + 1/(8z) + ...) in w = 1/z (DLMF 10.40.1) beyond it.  One term loop adds
+terms until the last is at most 1e-16 of the sum: once per scalar, whose
+series' last term and index pin its truncation error, and once per regime
+of an array, on the entry that converges last (the series' largest z, the
+expansion's smallest), to fix how many terms Horner sums for every entry.
+The expansion diverges, but its smallest term is about e^{-2z} of the sum,
 so from z = 20 up its terms fall below 1e-16 of the sum before they grow;
 its error bound adds that e^{-2z} part, which no term represents.
 
 ``i1_over_z`` evaluates I1(z)/z through its own even series
-1/2 + z^2/16 + z^4/384 + ... so the removable singularity at z = 0 never
-involves a division.
-
-All functions are pure.  The scalar entry points validate their argument,
-evaluate a one-element array, form the error bound from the loop's final
-state and raise ``DomainError`` where the value exceeds the float64 range.
-The array entry points assume their argument was validated and are what
-the quadrature loops call.
+1/2 + z^2/16 + z^4/384 + ..., so z = 0 never involves a division.  All
+functions are pure.  Scalar entry points validate their argument and raise
+``DomainError`` past the float64 range; array entry points assume it valid.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import accumulate
 
 import numpy as np
 
@@ -32,8 +30,8 @@ from .errors import DomainError
 #: Regime switch point: power series at or below, asymptotic expansion above.
 SERIES_SWITCH = 20.0
 
-#: Hard cap on term-loop passes (never reached: the series takes 34 at z = 20,
-#: the expansion at most 22 above it).
+#: Hard cap on term-loop passes and the coefficient tables' last index (the
+#: series takes 34 terms at z = 20, the expansion at most 22 above it).
 SERIES_CAP = 200
 
 _REL_STOP = 1e-16
@@ -58,45 +56,50 @@ def _check_arg(z: float) -> float:
 
 
 # ---------------------------------------------------------------------------
-# term loop
+# term loop and coefficient tables
 # ---------------------------------------------------------------------------
 
-def _term_loop(term: np.ndarray, ratio):
-    """Sum of term_0 = term, term_m = term_{m-1} * ratio(m), all nonnegative.
-
-    Stops jointly once every entry's term is at most 1e-16 of its sum.
-    Returns (sum, last term, m), with m the index of that last term.
-    """
-    total = term.copy()
+def _term_loop(term: float, ratio):
+    """Sum of term_0 = term, term_m = term_{m-1} * ratio(m), all nonnegative, up to
+    the first term at most 1e-16 of the sum: (sum, that term, its index m)."""
+    total = term
     for m in range(1, SERIES_CAP + 1):
-        term = term * ratio(m)
+        term *= ratio(m)
         total += term
-        if (term <= _REL_STOP * total).all():
+        if term <= _REL_STOP * total:
             break
     return total, term, m
 
 
-def _series_array(z: np.ndarray, order: int, over_z: bool = False):
+def _series(z: float, order: int, over_z: bool = False):
     """Power series of I_order(z), or of I1(z)/z when over_z: ratio
     q / (m (m + order)), q = z^2/4, from 1 (I0), z/2 (I1) or 1/2 (I1(z)/z)."""
     q = 0.25 * z * z
-    term = np.full_like(z, 0.5) if over_z else (0.5 * z if order else np.ones_like(z))
-    return _term_loop(term, lambda m: q / (m * (m + order)))
+    return _term_loop(0.5 if over_z else (0.5 * z if order else 1.0),
+                      lambda m: q / (m * (m + order)))
 
 
-def _asymptotic_array(z: np.ndarray, order: int, over_z: bool = False):
-    """e^z/sqrt(2 pi z) expansion of I_order, order in {0, 1}, or of I1(z)/z.
+def _expansion(z: float, order: int):
+    """Expansion of I_order: ratio |(2k-1)^2 - 4 order| / (8 k z) from 1.  The terms
+    after the first are + for I0 and - for I1, so I1's sum is 2 minus this one."""
+    return _term_loop(1.0, lambda k: abs((2 * k - 1) ** 2 - 4 * order) / (8.0 * k * z))
 
-    Ratio ((2k-1)^2 - 4 order^2) / (8 k z) from 1.  Every term after the
-    first has one sign, + for I0 and - for I1, so the loop sums 1 + |t_1|
-    + ... and I1's sum is 2 minus that.  Returns the value and the last
-    term's magnitude, both times the prefactor (and over z when over_z).
-    """
-    total, term, _ = _term_loop(np.ones_like(z),
-                                lambda k: abs((2 * k - 1) ** 2 - 4 * order) / (8.0 * k * z))
-    prefactor = np.exp(z - 0.5 * np.log(2.0 * np.pi * z))
-    value, last = prefactor * (2.0 - total if order else total), prefactor * term
-    return (value / z, last / z) if over_z else (value, last)
+
+# by order n: the coefficients of q^m in the series and, signed, of w^k in the expansion
+_Q_TABLES, _W_TABLES = (
+    [tuple(accumulate(range(1, SERIES_CAP + 1), lambda c, m: step(c, m, n), initial=1.0))
+     for n in (0, 1)]
+    for step in (lambda c, m, n: c / (m * (m + n)),
+                 lambda c, k, n: c * ((2 * k - 1) ** 2 - 4 * n) / (8.0 * k)))
+
+
+def _horner(x: np.ndarray, table: tuple, n: int) -> np.ndarray:
+    """table[0] + table[1] x + ... + table[n] x^n, two in-place passes per term."""
+    s = np.full_like(x, table[n])
+    for c in table[n - 1::-1]:
+        s *= x
+        s += c
+    return s
 
 
 # ---------------------------------------------------------------------------
@@ -105,10 +108,9 @@ def _asymptotic_array(z: np.ndarray, order: int, over_z: bool = False):
 
 def _series_eval(z: float, order: int, over_z: bool = False) -> BesselEval:
     """Series value with its truncation bound (a geometric tail) plus roundoff."""
-    total, term, m = _series_array(np.array([z]), order, over_z)
-    value = float(total[0])
+    value, term, m = _series(z, order, over_z)
     q = 0.25 * z * z
-    nxt = float(term[0]) * q / ((m + 1) * (m + 1 + order))
+    nxt = term * q / ((m + 1) * (m + 1 + order))
     ratio = q / ((m + 2) * (m + 2 + order))
     trunc = nxt / (1.0 - ratio) if ratio < 1.0 else math.inf
     return BesselEval(value, trunc + (m + 4) * _EPS * value)
@@ -117,8 +119,11 @@ def _series_eval(z: float, order: int, over_z: bool = False) -> BesselEval:
 def _asymptotic_eval(z: float, order: int, over_z: bool = False) -> BesselEval:
     """Asymptotic value; its bound is twice the last term plus the e^{-2z}
     part the expansion cannot represent, plus roundoff."""
+    total, term, _ = _expansion(z, order)
     with np.errstate(over="ignore"):  # an overflow shows as inf, raised by _eval
-        value, last = (float(v[0]) for v in _asymptotic_array(np.array([z]), order, over_z))
+        prefactor = np.exp(z - 0.5 * np.log(2.0 * np.pi * z))
+        value, last = prefactor * (2.0 - total if order else total), prefactor * term
+    value, last = (float(value / z), float(last / z)) if over_z else (float(value), float(last))
     return BesselEval(value, 2.0 * last + value * (math.exp(-2.0 * z) + 16 * _EPS))
 
 
@@ -171,14 +176,19 @@ def i1_over_z(z: float) -> float:
 # ---------------------------------------------------------------------------
 
 def _regimes(z, order: int, over_z: bool = False) -> np.ndarray:
-    """Series at or below SERIES_SWITCH, asymptotic expansion above."""
+    """Series at or below SERIES_SWITCH, asymptotic expansion above (nan stays nan)."""
     z = np.asarray(z, dtype=float)
     out = np.empty_like(z)
     small = z <= SERIES_SWITCH
     if small.any():
-        out[small] = _series_array(z[small], order, over_z)[0]
+        zs = z[small]
+        s = _horner(0.25 * zs * zs, _Q_TABLES[order], _series(float(zs.max()), order, over_z)[2])
+        out[small] = s * (0.5 if over_z else 0.5 * zs) if order else s
     if not small.all():
-        out[~small] = _asymptotic_array(z[~small], order, over_z)[0]
+        zl = z[~small]
+        s = _horner(1.0 / zl, _W_TABLES[order], _expansion(float(np.fmin.reduce(zl)), order)[2])
+        s *= np.exp(zl - 0.5 * np.log(2.0 * np.pi * zl))
+        out[~small] = s / zl if over_z else s
     return out
 
 

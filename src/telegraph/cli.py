@@ -110,6 +110,8 @@ def cmd_kernel(cfg: RunConfig) -> tuple[dict, bool]:
     grid = cfg.grid()
     t = cfg.values["t"]
     ct = medium.c * t
+    if not math.isfinite(ct):  # the atoms ride the cone edges -+ct
+        raise DomainError(f"cone radius c|t| = {medium.c} * {abs(t)} exceeds float64")
     x = grid.points()
     psi_vals = np.atleast_1d(fundamental_solution(x, t, medium))
     dt_vals = np.atleast_1d(time_derivative_regular(x, t, medium))

@@ -53,18 +53,37 @@ def _check_time(t: float) -> float:
     return t
 
 
+def _length_unit(c: float) -> float:
+    """The power of two u with c/u in [1, 2), the length unit of lam.
+
+    Dividing by u is exact, so lam = (c t)^2 - x^2 in units of u^2 rounds as
+    in plain units, bit for bit where those neither under- nor overflow, and
+    (c t / u)^2 stays in float64 wherever t^2 does.
+    """
+    return math.ldexp(1.0, math.frexp(c)[1] - 1)
+
+
 def _masks(x: np.ndarray, t: float, c: float):
-    radius = c * abs(t)
-    lam = radius * radius - x * x
-    r = np.abs(x)
+    """lam = (c t)^2 - x^2 in units of ``_length_unit(c)``^2 at x, the cone
+    edge's mask and the open cone's.
+
+    Past float64 lam is inf or nan: k = 0 takes no Bessel argument, any
+    other k fails as a value past float64.  A point whose scaled |x| is inf
+    lies in neither mask.
+    """
+    u = _length_unit(c)
+    radius = c / u * abs(t)
     # classify on magnitudes normalized by the larger one, so the relative
     # tolerance survives even where the raw squares would underflow
-    big = np.maximum(r, radius)
-    big[big == 0.0] = 1.0
-    rn2 = r / big
-    rn2 *= rn2
-    cn2 = radius / big
-    cn2 *= cn2
+    with np.errstate(over="ignore", invalid="ignore"):
+        r = np.abs(x) / u
+        lam = radius * radius - r * r
+        big = np.maximum(r, radius)
+        big[big == 0.0] = 1.0
+        rn2 = r / big
+        rn2 *= rn2
+        cn2 = radius / big
+        cn2 *= cn2
     lam_n = cn2 - rn2
     tol = CONE_EPS * (cn2 + rn2)
     # tol >= 0, so lam_n > tol is lam_n > 0 off the boundary
@@ -75,15 +94,17 @@ def _cone_values(x: np.ndarray, lam: np.ndarray, t: float, medium: MediumParams,
                  w_psi: float, w_reg: float, w_dip: float, edge=None) -> np.ndarray:
     """w_psi psi + w_reg psi_t,reg + w_dip c psi_x at points x of the closed cone.
 
-    lam = c^2 t^2 - x^2 is the caller's, clipped at 0 here.  psi takes its
+    lam is the caller's, in ``_masks``' units, clipped at 0 here.  psi takes its
     edge value sgn(t)/(2c) on the points of the mask edge; psi_t,reg keeps
     each point's own lam.  c psi_x is -(x/(ct)) psi_t,reg, its edge atoms
     the caller's.  No term costs a Bessel evaluation at k = 0 or at zero
     weight (the result is the scalar 0.0 if no term remains); a value past
     float64 raises DomainError.
     """
-    free = medium.alpha == 0.0  # k = 0: I0 = 1 and psi_t,reg = 0, even where lam = inf
-    arg = None if free else 2.0 * medium.alpha * np.sqrt(np.maximum(lam, 0.0))
+    free = medium.k == 0.0  # I0 = 1 and psi_t,reg = 0, even where lam = inf
+    # 2 alpha sqrt(lam) in plain units: k/(2c) is k/(2 c/u) over the unit u
+    u = _length_unit(medium.c)
+    arg = None if free else 0.5 * medium.k / (medium.c / u) * np.sqrt(np.maximum(lam, 0.0))
     out = 0.0
     with np.errstate(over="ignore", invalid="ignore"):
         if w_psi != 0.0:
@@ -93,7 +114,10 @@ def _cone_values(x: np.ndarray, lam: np.ndarray, t: float, medium: MediumParams,
                 out[edge] = edge_value
             out *= w_psi
         if (w_reg != 0.0 or w_dip != 0.0) and not free:
-            reg = (2.0 * medium.alpha ** 2 * medium.c * abs(t)) * bessel.i1_over_z_array(arg)
+            # 2 alpha^2 c |t| = k^2 |t|/(8c), no alpha^2 to overflow at tiny c; numpy's
+            # scalar pow is Python's, but gives inf where Python's raises OverflowError
+            reg = (2.0 * np.float64(0.25 * medium.k) ** 2 * abs(t) / medium.c
+                   * bessel.i1_over_z_array(arg))
             ct = medium.c * t
             reg *= (w_reg * ct - w_dip * x) / ct if w_dip != 0.0 else w_reg
             out += reg

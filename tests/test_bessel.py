@@ -106,6 +106,23 @@ class TestMpmathReference:
                 assert np.all(np.abs(got / ref - 1.0) <= bound), name
 
 
+class TestMixedArray:
+    def test_term_count_follows_the_slowest_entry(self):
+        # both regimes in one shuffled array: the series must sum the terms its
+        # largest z needs and the expansion those its smallest z needs, so the
+        # entries match themselves evaluated alone and the scalar functions
+        from telegraph import bessel
+        z = np.concatenate([np.geomspace(1e-3, 20.0, 60), np.geomspace(20.01, 713.9, 60)])
+        z = np.random.default_rng(0).permutation(z)
+        for name in ("i0", "i1", "i1_over_z"):
+            array_fn = getattr(bessel, name + "_array")
+            mixed = array_fn(z)
+            alone = np.array([array_fn(z[i:i + 1])[0] for i in range(z.size)])
+            scalar = np.array([getattr(tg, name)(float(v)) for v in z])
+            for reference in (alone, scalar):
+                assert np.allclose(mixed, reference, rtol=5e-15, atol=5e-16), name
+
+
 class TestOdeResidual:
     @pytest.mark.parametrize("z", [0.5, 1.0, 2.0, 5.0, 10.0])
     def test_modified_bessel_ode(self, z):

@@ -160,6 +160,16 @@ class TestDeltaCommand:
             elif abs(row["x"]) > 1.0 + 1e-9:
                 assert row["v"] == 0.0
 
+    def test_undamped_at_huge_time(self, capsys):
+        # the default grid reaches |x| = 1.1e300, where x^2 overflows
+        code, out, err = run_cli(["delta", "--k", "0", "--t", "1e300", "--n", "65",
+                                  "--format", "json"], capsys)
+        assert code == 0 and err == ""
+        doc = json.loads(out)
+        assert doc["atoms"] == [{"x": -1e300, "w": 0.5}, {"x": 1e300, "w": 0.5}]
+        assert all(row["v"] == 0.0 for row in doc["density"])
+        assert doc["mass"]["total"] == 1.0
+
     def test_csv_header_block(self, capsys):
         code, out, _ = run_cli(["delta", "--kind", "delta_position", "--k", "1",
                                 "--c", "1", "--t", "1", "--n", "129"], capsys)
@@ -264,6 +274,9 @@ class TestOutOfDomainInput:
         ["solve", "--k", "3000", "--t", "1", "--n", "1025"],
         # a cone window too wide for float64 to index its Simpson nodes
         ["solve", "--t", "1e306", "--n", "257"],
+        # the kernel table's atoms at -+ct, ct = 1e600
+        ["kernel", "--k", "0", "--c", "1e300", "--t", "1e300", "--n", "5"],
+        ["kernel", "--k", "0", "--c", "1e300", "--t=-1e300", "--n", "5"],
         ["solve", "--t", "1.7e308", "--n", "257"],
     ])
     def test_usage_error_exits_2(self, capsys, argv):

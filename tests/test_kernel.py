@@ -78,6 +78,27 @@ class TestKernelValues:
         assert np.all(tg.fundamental_solution(x, t, m) == math.copysign(0.5, t))
         assert np.all(tg.time_derivative_regular(x, t, m) == 0.0)
 
+    @pytest.mark.parametrize("t", [0.37, -0.37])
+    def test_tiny_wave_speed(self, t):
+        # c^2 t^2 = 1.4e-601 underflows to 0, but not in units of a power of two
+        # near c: the Bessel argument is k t/2 = 0.185, psi_t,reg's factor k^2 |t|/(8c)
+        m = tg.MediumParams(k=1.0, c=1e-300)
+        psi = tg.fundamental_solution(0.0, t, m)
+        assert abs(psi / (math.copysign(tg.i0(0.185), t) / 2e-300) - 1.0) <= 1e-14
+        reg = tg.time_derivative_regular(0.0, t, m)
+        assert abs(reg / (0.37 / 8e-300 * tg.i1_over_z(0.185)) - 1.0) <= 1e-14
+
+    @pytest.mark.parametrize("t", [1e300, -1e300])
+    def test_huge_wave_speed_at_huge_time(self, t):
+        # c|t| = inf, but not in units of a power of two near c, where the cone
+        # is classified
+        x = np.linspace(-8.0, 8.0, 5)
+        m = tg.MediumParams(k=0.0, c=1e300)
+        assert np.all(tg.fundamental_solution(x, t, m) == math.copysign(0.5e-300, t))
+        assert np.all(tg.time_derivative_regular(x, t, m) == 0.0)
+        with pytest.raises(tg.DomainError, match="float64"):
+            tg.fundamental_solution(x, t, tg.MediumParams(k=1.0, c=1e300))
+
     def test_negative_time_flips_sign(self):
         m = tg.MediumParams(k=4.0, c=1.0)
         assert (tg.fundamental_solution(0.0, -1.0, m)

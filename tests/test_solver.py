@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import telegraph as tg
-from telegraph import oracles, solver
+from telegraph import kernel, oracles, solver
 from telegraph.bessel import i0_array, i1_over_z_array
 from telegraph.quadrature import panel_count, simpson_nodes_weights, simpson_pattern
 
@@ -51,6 +51,15 @@ class TestSolveBasics:
                              * (erf(xi + 1.0) - erf(xi - 1.0)) for xi in x])
         inside = np.abs(x) <= 2.5
         assert np.max(np.abs(u.values[inside] - expected[inside])) < 1e-8
+
+    @pytest.mark.parametrize("t", [1e155, -1e155])
+    def test_undamped_past_the_squared_time_range(self, t):
+        # t^2 is past float64, which k = 0 never needs; d'Alembert's shifts of
+        # -+1e155 leave the grid of half-width 1e152, so u = 0
+        grid = tg.SpaceGrid(-1e152, 1e150, 201)
+        f = tg.SampledField(grid, np.exp(-(grid.points() / 1e151) ** 2))
+        u = tg.solve(f, tg.zeros(grid), t, tg.MediumParams(k=0.0, c=1.0))
+        assert np.all(u.values == 0.0)
 
     def test_error_estimate_reported(self, medium, grid_coarse):
         f = gaussian(grid_coarse)
@@ -254,6 +263,19 @@ def kind_reference(kind, x, t, medium):
 
 
 class TestPointDataRows:
+    @pytest.mark.parametrize("kind", solver.DELTA_KINDS)
+    def test_samples_are_the_density_off_the_cone_edge(self, kind):
+        # the grid has points on both cone edges -+ct = -+1.4
+        medium = tg.MediumParams(k=3.0, c=0.7)
+        grid = tg.SpaceGrid(-1.4, 1.4 / 64, 257)
+        meas = tg.point_source_solution(kind, 2.0, medium, grid)
+        x = grid.points()
+        expected = meas.density_fn(x)
+        edge = kernel._masks(x, 2.0, medium.c)[1]
+        assert edge.sum() == 2
+        expected[edge] = 0.0
+        assert np.array_equal(meas.density.values, expected)
+
     @pytest.mark.parametrize("kind", solver.DELTA_KINDS)
     @pytest.mark.parametrize("k,t,c", [(0.05, 2.0, 1.3), (2.1, 1.0, 0.7),
                                        (50.0, 2.0, 1.0), (1400.0, 1.0, 2.5)])
