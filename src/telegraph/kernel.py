@@ -57,8 +57,8 @@ def _length_unit(c: float) -> float:
     """The power of two u with c/u in [1, 2), the length unit of lam.
 
     Dividing by u is exact, so lam = (c t)^2 - x^2 in units of u^2 rounds as
-    in plain units, bit for bit where those neither under- nor overflow, and
-    (c t / u)^2 stays in float64 wherever t^2 does.
+    in plain units, bit for bit where those neither under- nor overflow, while
+    (c t / u)^2 is within a factor 4 of t^2 whatever c is.
     """
     return math.ldexp(1.0, math.frexp(c)[1] - 1)
 
@@ -102,7 +102,7 @@ def _cone_values(x: np.ndarray, lam: np.ndarray, t: float, medium: MediumParams,
     float64 raises DomainError.
     """
     free = medium.k == 0.0  # I0 = 1 and psi_t,reg = 0, even where lam = inf
-    # 2 alpha sqrt(lam) in plain units: k/(2c) is k/(2 c/u) over the unit u
+    # 2 alpha sqrt(c^2 t^2 - x^2) = k/(2 c/u) * sqrt(lam), lam in units of u^2
     u = _length_unit(medium.c)
     arg = None if free else 0.5 * medium.k / (medium.c / u) * np.sqrt(np.maximum(lam, 0.0))
     out = 0.0
