@@ -114,10 +114,12 @@ def _cone_values(x: np.ndarray, lam: np.ndarray, t: float, medium: MediumParams,
                 out[edge] = edge_value
             out *= w_psi
         if (w_reg != 0.0 or w_dip != 0.0) and not free:
-            # 2 alpha^2 c |t| = k^2 |t|/(8c), no alpha^2 to overflow at tiny c; numpy's
-            # scalar pow is Python's, but gives inf where Python's raises OverflowError
-            reg = (2.0 * np.float64(0.25 * medium.k) ** 2 * abs(t) / medium.c
-                   * bessel.i1_over_z_array(arg))
+            # 2 alpha^2 c |t| = 2 q^2 |t|/c, q = k/4: no alpha^2 to overflow at tiny c.  numpy's
+            # scalar q**2 is inf where Python's raises OverflowError; q (q |t|) then may not be
+            q = np.float64(0.25 * medium.k)
+            scale = 2.0 * q ** 2 * abs(t) / medium.c
+            scale = scale if math.isfinite(scale) else 2.0 * q * (q * abs(t)) / medium.c
+            reg = scale * bessel.i1_over_z_array(arg)
             ct = medium.c * t
             reg *= (w_reg * ct - w_dip * x) / ct if w_dip != 0.0 else w_reg
             out += reg

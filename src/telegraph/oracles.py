@@ -25,7 +25,7 @@ from .errors import UsageError
 from .fields import MixedMeasure, SampledField, SpaceGrid
 from .kernel import MediumParams
 from .quadrature import integrate_bins, simpson_pattern
-from .solver import _cone_stencils, _rescaled_values, solve_rescaled
+from .solver import _cone_stencils, _require_shared_grid, _rescaled_values, solve_rescaled
 
 #: Walkers per RNG block; each block draws from its own Philox stream
 #: derived from (seed, block index), so results are reproducible and
@@ -74,9 +74,7 @@ def fd_solve(f: SampledField, g: SampledField, t_final: float,
     zero; callers must keep the comparison window causally isolated from
     them.  The Courant number c*dt/dx must not exceed 1.
     """
-    if f.grid != g.grid:
-        raise UsageError("initial fields must share one grid")
-    grid = f.grid
+    grid = _require_shared_grid(f, g)
     courant = medium.c * cfg.dt / grid.dx
     if courant > 1.0 + 1e-12:
         raise UsageError(f"CFL violation: courant number {courant} exceeds 1")
@@ -292,11 +290,9 @@ def duhamel_residual(f: SampledField, g: SampledField, t: float,
     without it.  The first call binds the dict to its (f, g, t, medium), and
     a later call with other ones (f and g by identity) raises UsageError.
     """
-    if f.grid != g.grid:
-        raise UsageError("initial fields must share one grid")
+    grid = _require_shared_grid(f, g)
     if t <= 0:
         raise UsageError(f"fixed-point residual needs t > 0, got {t}")
-    grid = f.grid
     ct = medium.c * t
     x = grid.points()
     valid = (x - ct >= grid.x0 - 1e-12 * grid.dx) & (x + ct <= grid.x_end + 1e-12 * grid.dx)

@@ -51,21 +51,19 @@ def _require_shared_grid(f: SampledField, g: SampledField) -> SpaceGrid:
 
 
 def _cone_stencils(grid: SpaceGrid, t: float, medium: MediumParams,
-                   kernels=("kernel_dt", "kernel"), out_grid: Optional[SpaceGrid] = None,
-                   n_sub: Optional[int] = None):
+                   kernels=("kernel_dt", "kernel"), out_grid: Optional[SpaceGrid] = None):
     """Simpson windows over |y| <= c|t| of the named kernels, folded for data on grid.
 
     "kernel" is K = psi; "kernel_dt" is K_t, psi_t,reg plus atoms of weight
     1/2 on the end nodes -+ c|t| that carry the d'Alembert term (at t = 0
     every Simpson weight is 0 and they sum to a delta).  The window has
-    n_sub panels, by default ``panel_count(2 c|t|, grid.dx)``.  Nodes y
-    whose points x - y lie over 3 cells off the grid for every x of
-    out_grid add 0 and are not built.  Each kernel evaluates its Bessel
-    family once.
+    ``panel_count(2 c|t|, grid.dx)`` panels.  Nodes y whose points x - y lie
+    over 3 cells off the grid for every x of out_grid add 0 and are not
+    built.  Each kernel evaluates its Bessel family once.
     Returns ``fields._fold``'s apply step, rows in the order named.
     """
     radius = medium.c * abs(t)
-    n_sub = n_sub or panel_count(2.0 * radius, grid.dx)
+    n_sub = panel_count(2.0 * radius, grid.dx)
     out = grid if out_grid is None else out_grid
     h = 2.0 * radius / n_sub
     first, last = 0, n_sub
@@ -91,31 +89,29 @@ def _cone_stencils(grid: SpaceGrid, t: float, medium: MediumParams,
     return _fold(grid, offsets, np.array(rows), out_grid)
 
 
-def _rescaled_values(pairs, t: float, medium: MediumParams, n_sub=None) -> list:
+def _rescaled_values(pairs, t: float, medium: MediumParams) -> list:
     """K_t * f + K * (g + k f/2) for each data pair (f, g), from one stencil pair."""
     if t == 0.0:
         return [f.values.copy() for f, _ in pairs]
-    apply = _cone_stencils(pairs[0][0].grid, t, medium, n_sub=n_sub)
+    apply = _cone_stencils(pairs[0][0].grid, t, medium)
     return [apply(f.values) + apply(g.values + 0.5 * medium.k * f.values, 1) for f, g in pairs]
 
 
-def solve_rescaled(f: SampledField, g: SampledField, t: float, medium: MediumParams,
-                   *, error_estimate: bool = False):
-    """Growth-compensated solution e^{kt/2} u(., t); valid for t of either sign.
-
-    With error_estimate=True also returns a max-abs Richardson estimate of
-    the quadrature error (the half-resolution result differs by ~16x the
-    fine result's error for this fourth-order rule).
-    """
+def solve_rescaled(f: SampledField, g: SampledField, t: float, medium: MediumParams):
+    """Growth-compensated e^{kt/2} u(., t), t of either sign; ``solve`` estimates the error."""
     grid = _require_shared_grid(f, g)
     t = _check_time(t)
     vals, = _rescaled_values([(f, g)], t, medium)
-    result = SampledField(grid, vals)
-    if not error_estimate:
-        return result
-    half = panel_count(2.0 * medium.c * abs(t), grid.dx) // 2  # the fine window's, halved and even
-    coarse, = _rescaled_values([(f, g)], t, medium, half + half % 2)
-    return result, float(np.max(np.abs(vals - coarse)) / 15.0)
+    return SampledField(grid, vals)
+
+
+def _half_grid_estimate(fn, f, g, t: float, medium: MediumParams, fine) -> float:
+    """max|fine - fn on the 2dx grid of every other point| / 15, ``solve``'s estimate."""
+    if f.grid.n < 3:
+        raise UsageError(f"the error estimate's half grid needs n >= 3, got n = {f.grid.n}")
+    half = SpaceGrid(f.grid.x0, 2.0 * f.grid.dx, (f.grid.n + 1) // 2)
+    coarse = fn(SampledField(half, f.values[::2]), SampledField(half, g.values[::2]), t, medium)
+    return float(np.max(np.abs(fine.values[::2] - coarse.values))) / 15.0
 
 
 def solve(f: SampledField, g: SampledField, t: float, medium: MediumParams,
@@ -123,20 +119,20 @@ def solve(f: SampledField, g: SampledField, t: float, medium: MediumParams,
     """Solution u(., t) of u_tt + k u_t = c^2 u_xx with data (f, g).
 
     DomainError where t < 0 makes e^{-kt/2}, or u, overflow float64.
+    error_estimate=True also returns the Richardson estimate of u's error over dx,
+    max|u_h - u_2h| / 15 (fourth order) against a solve from every other grid point,
+    the last point dropped for even n; it grows for data nonzero near a grid end, or rough.
     """
     t = _check_time(t)
     exponent = -0.5 * medium.k * t
     if exponent > math.log(np.finfo(float).max):
         raise DomainError(f"e^(-kt/2) = e^{exponent:g} overflows float64 at t = {t}")
     damp = math.exp(exponent)
-    if error_estimate:
-        v, err = solve_rescaled(f, g, t, medium, error_estimate=True)
-    else:
-        v, err = solve_rescaled(f, g, t, medium), 0.0
+    v = solve_rescaled(f, g, t, medium)
     if exponent > 0.0 and not math.isfinite(damp * float(np.max(np.abs(v.values)))):
         raise DomainError(f"u(., {t}) overflows float64, e^(-kt/2) = e^{exponent:g}")
     u = SampledField(v.grid, damp * v.values)
-    return (u, damp * err) if error_estimate else u
+    return (u, _half_grid_estimate(solve, f, g, t, medium, u)) if error_estimate else u
 
 
 def _solve_shared(pairs, t: float, medium: MediumParams) -> list:
@@ -163,9 +159,14 @@ def velocity(f: SampledField, g: SampledField, t: float, medium: MediumParams,
 
     f_xx is the 5-point fourth-order difference of f extended by zero, so values
     within c|t| + 3dx of a grid end where the data are nonzero are not meaningful.
-    error_estimate is that one solve's Richardson estimate, as in ``solve``.
+    error_estimate is ``solve``'s Richardson estimate over dx, with f_xx taken
+    again at 2dx, so it covers f_xx's error too.
     """
-    return solve(g, _velocity_data(f, g, medium), t, medium, error_estimate=error_estimate)
+    def u_t(f, g, t, medium):  # not the module's name, which a tracer may wrap
+        return solve(g, _velocity_data(f, g, medium), t, medium)
+
+    out = u_t(f, g, t, medium)
+    return (out, _half_grid_estimate(u_t, f, g, t, medium, out)) if error_estimate else out
 
 
 def point_source_solution(kind: str, t: float, medium: MediumParams,

@@ -51,23 +51,40 @@ def gaussian_norms(t: float, k: float, c: float = 1.0, dx: float | None = None):
     return norm(u_hat), norm(ut_hat), norm(deriv * u_hat)
 
 
-def gaussian_velocity(x, t: float, k: float, c: float = 1.0) -> np.ndarray:
-    """u_t at the points x and time t for f = exp(-x^2), g = 0.
+def _damped_modes(t: float, k: float, c: float):
+    """xi, f^(xi), e^{-kt/2} cosh(st) and e^{-kt/2} sinh(st)/s on the xi-grid.
 
-    e^{-kt/2} sinh(st)/s is summed as (e^{(s-k/2)t} - e^{(-s-k/2)t}) / 2s,
-    which stays finite where sinh(st) alone would overflow.
+    Each is summed from e^{(+-s-k/2)t}, which stay finite where cosh(st) and
+    sinh(st) alone would overflow.
     """
     n = int(round(XI_MAX / XI_STEP))
     xi = XI_STEP * np.arange(-n, n + 1)
     s = np.sqrt((0.25 * k * k - (c * xi) ** 2).astype(complex))
     at_zero = s == 0
     s_safe = np.where(at_zero, 1.0, s)
-    damped_sinhc = np.where(
-        at_zero, t * math.exp(-0.5 * k * t),
-        (np.exp((s - 0.5 * k) * t) - np.exp((-s - 0.5 * k) * t)) / (2.0 * s_safe)).real
-    ut_hat = -(c * xi) ** 2 * math.sqrt(math.pi) * np.exp(-0.25 * xi * xi) * damped_sinhc
+    grow, decay = np.exp((s - 0.5 * k) * t), np.exp((-s - 0.5 * k) * t)
+    damped_cosh = (0.5 * (grow + decay)).real
+    damped_sinhc = np.where(at_zero, t * math.exp(-0.5 * k * t),
+                            (grow - decay) / (2.0 * s_safe)).real
+    return xi, math.sqrt(math.pi) * np.exp(-0.25 * xi * xi), damped_cosh, damped_sinhc
+
+
+def _at_points(x, xi, v_hat) -> np.ndarray:
+    """(1/2pi) int v^(xi) cos(xi x) dxi at the points x, for an even v^."""
     x = np.asarray(x, dtype=float)
     out = np.empty(x.shape)
     for b in range(0, x.size, 256):  # blocks keep the cos table small
-        out.flat[b:b + 256] = np.cos(np.outer(x.flat[b:b + 256], xi)) @ ut_hat
+        out.flat[b:b + 256] = np.cos(np.outer(x.flat[b:b + 256], xi)) @ v_hat
     return out * XI_STEP / (2.0 * math.pi)
+
+
+def gaussian_field(x, t: float, k: float, c: float = 1.0) -> np.ndarray:
+    """u at the points x and time t for f = exp(-x^2), g = 0."""
+    xi, f_hat, damped_cosh, damped_sinhc = _damped_modes(t, k, c)
+    return _at_points(x, xi, f_hat * (damped_cosh + 0.5 * k * damped_sinhc))
+
+
+def gaussian_velocity(x, t: float, k: float, c: float = 1.0) -> np.ndarray:
+    """u_t at the points x and time t for f = exp(-x^2), g = 0."""
+    xi, f_hat, _, damped_sinhc = _damped_modes(t, k, c)
+    return _at_points(x, xi, -(c * xi) ** 2 * f_hat * damped_sinhc)

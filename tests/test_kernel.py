@@ -88,6 +88,13 @@ class TestKernelValues:
         reg = tg.time_derivative_regular(0.0, t, m)
         assert abs(reg / (0.37 / 8e-300 * tg.i1_over_z(0.185)) - 1.0) <= 1e-14
 
+    @pytest.mark.parametrize("t", [1e-170, -1e-170])
+    def test_huge_damping_at_tiny_time(self, t):
+        # (k/4)^2 = 6.25e318 is past float64, psi_t,reg's factor k^2 |t|/(8c) =
+        # 1.25e149 is not; the Bessel argument k|t|/2 = 5e-11 gives I1(w)/w = 1/2
+        reg = tg.time_derivative_regular(0.0, t, tg.MediumParams(k=1e160, c=1.0))
+        assert abs(reg / 6.25e148 - 1.0) <= 1e-14
+
     @pytest.mark.parametrize("t", [1e300, -1e300])
     def test_huge_wave_speed_at_huge_time(self, t):
         # c|t| = inf, but not in units of a power of two near c, where the cone

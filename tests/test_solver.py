@@ -6,11 +6,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import telegraph as tg
-from telegraph import kernel, oracles, solver
+from telegraph import fields, kernel, oracles, solver
 from telegraph.bessel import i0_array, i1_over_z_array
 from telegraph.quadrature import panel_count, simpson_nodes_weights, simpson_pattern
 
-from _fourier_oracle import gaussian_velocity
+from _fourier_oracle import gaussian_field, gaussian_velocity
 from conftest import gaussian
 
 
@@ -187,6 +187,29 @@ class TestVelocity:
             tg.velocity(f, g, 1e-300, medium)
         with pytest.raises(tg.DomainError, match="finite"):
             tg.evolve(1e-300, tg.StatePair(f, g), medium)
+
+
+class TestErrorEstimate:
+    # f = e^{-x^2} on [-8, 8]: the error measured on |x| < 7.5 - t against the
+    # Fourier oracle; n = 1024 is even, so its half grid drops the last point
+    @pytest.mark.parametrize("name,n,k,t", [
+        ("solve", 1025, 1.0, 0.973), ("solve", 2049, 200.0, 2.51), ("solve", 1024, 20.0, 0.37),
+        ("velocity", 1025, 200.0, 0.37), ("velocity", 2049, 1.0, 2.51)])
+    def test_within_a_factor_4_of_the_error(self, name, n, k, t):
+        grid = tg.SpaceGrid(-8.0, 16.0 / (n - 1), n)
+        reference = {"solve": gaussian_field, "velocity": gaussian_velocity}[name]
+        u, err = getattr(tg, name)(gaussian(grid), tg.zeros(grid), t,
+                                   tg.MediumParams(k=k, c=1.0), error_estimate=True)
+        x = grid.points()
+        inner = np.abs(x) < 7.5 - t
+        true = np.max(np.abs(u.values[inner] - reference(x[inner], t, k)))
+        assert true / 4.0 <= err <= 4.0 * true
+
+    @pytest.mark.parametrize("fn", [tg.solve, tg.velocity])
+    def test_two_points_have_no_half_grid(self, fn):
+        z = tg.zeros(tg.SpaceGrid(0.0, 1.0, 2))
+        with pytest.raises(tg.UsageError, match="half grid"):
+            fn(z, z, 0.5, tg.MediumParams(k=1.0, c=1.0), error_estimate=True)
 
 
 class TestPointSource:
@@ -378,9 +401,9 @@ def edge_data():
             tg.SampledField(EDGE_GRID, 0.3 - 0.2 * np.sin(x)))
 
 
-def cone_nodes(t, medium, dx, n_sub=None):
+def cone_nodes(t, medium, dx):
     radius = medium.c * abs(t)
-    n_sub = n_sub or panel_count(2 * radius, dx)
+    n_sub = panel_count(2 * radius, dx)
     h = 2 * radius / n_sub
     offsets = -radius + h * np.arange(n_sub + 1)
     offsets[-1] = radius
@@ -395,23 +418,22 @@ def assert_matches_reference(got, reference):
 
 class TestConeEdgeRule:
     # t = 8.2 puts the end nodes' points 64 to 66 cells away, past the whole
-    # grid; 10000 panels fold in more than one block of nodes; at t = 20 the
-    # nodes that cannot reach the grid are not built
-    @pytest.mark.parametrize("t,n_panels", [(3.0, None), (-3.0, None), (8.2, None),
-                                            (-3.0, 10000), (20.0, None)])
-    def test_solve_rescaled_matches_node_loop(self, t, n_panels):
+    # grid; blocks of 64 fold the 193 nodes at t = -3 in four blocks; at t = 20
+    # the nodes that cannot reach the grid are not built
+    @pytest.mark.parametrize("t,fold_block", [(3.0, None), (-3.0, None), (8.2, None),
+                                              (-3.0, 64), (20.0, None)])
+    def test_solve_rescaled_matches_node_loop(self, t, fold_block, monkeypatch):
+        if fold_block is not None:
+            monkeypatch.setattr(fields, "_FOLD_BLOCK", fold_block)
         f, g = edge_data()
         radius = EDGE_MEDIUM.c * abs(t)
-        offsets, weights, ft_w, f0_w = cone_nodes(t, EDGE_MEDIUM, EDGE_GRID.dx, n_panels)
+        offsets, weights, ft_w, f0_w = cone_nodes(t, EDGE_MEDIUM, EDGE_GRID.dx)
         geff = tg.SampledField(EDGE_GRID, g.values + 0.5 * EDGE_MEDIUM.k * f.values)
         reference = 0.5 * (tg.sample_shifted(f, radius) + tg.sample_shifted(f, -radius))
         for j, off in enumerate(offsets):
             reference += weights[j] * ft_w[j] * tg.sample_shifted(f, -off)
             reference += weights[j] * f0_w[j] * tg.sample_shifted(geff, -off)
-        if n_panels is None:
-            got = tg.solve_rescaled(f, g, t, EDGE_MEDIUM).values
-        else:
-            got, = solver._rescaled_values([(f, g)], t, EDGE_MEDIUM, n_panels)
+        got = tg.solve_rescaled(f, g, t, EDGE_MEDIUM).values
         assert_matches_reference(got, reference)
 
     def test_window_far_past_the_grid_builds_only_the_reaching_nodes(self, monkeypatch):
@@ -485,8 +507,8 @@ class TestConeEdgeRule:
             stencils = module._cone_stencils
 
             def recording_stencils(grid, t, medium, kernels=("kernel_dt", "kernel"),
-                                   out_grid=None, n_sub=None):
-                apply = stencils(grid, t, medium, kernels, out_grid, n_sub)
+                                   out_grid=None):
+                apply = stencils(grid, t, medium, kernels, out_grid)
                 if medium.k != 0.0:
                     return apply
 
