@@ -70,6 +70,12 @@ class SampledField:
         return self.grid.points()
 
 
+def _require_shared_grid(a: SampledField, b: SampledField) -> SpaceGrid:
+    if a.grid != b.grid:
+        raise UsageError("fields must share one grid")
+    return a.grid
+
+
 def from_function(grid: SpaceGrid, fn: Callable[[np.ndarray], np.ndarray]) -> SampledField:
     return SampledField(grid, np.asarray(fn(grid.points()), dtype=float))
 
@@ -270,8 +276,6 @@ class MixedMeasure:
 
     ``density_fn``, when present, is the exact (vectorized) density the
     samples were taken from; mass quadrature prefers it over the samples.
-    ``density_mass_exact`` short-circuits quadrature entirely (used by the
-    walk simulator, whose density mass is a walker count).
     """
 
     atoms: tuple[tuple[float, float], ...]
@@ -280,7 +284,6 @@ class MixedMeasure:
     probabilistic: bool = False
     density_fn: Optional[Callable[[np.ndarray], np.ndarray]] = field(
         default=None, compare=False, repr=False)
-    density_mass_exact: Optional[float] = None
 
     def __post_init__(self):
         lo, hi = self.support
@@ -305,9 +308,7 @@ class MixedMeasure:
         return float(sum(w for _, w in self.atoms))
 
     def density_mass(self) -> float:
-        """Exact mass if given, else MASS_PANELS-panel Simpson of density_fn, else trapezoid."""
-        if self.density_mass_exact is not None:
-            return self.density_mass_exact
+        """MASS_PANELS-panel Simpson of density_fn if given, else trapezoid of the samples."""
         lo, hi = self.support
         if hi <= lo:
             return 0.0

@@ -64,20 +64,14 @@ def _length_unit(c: float) -> float:
 
 
 def _masks(x: np.ndarray, t: float, c: float):
-    """lam = (c t)^2 - x^2 in units of ``_length_unit(c)``^2 at x, the cone
-    edge's mask and the open cone's.
-
-    Past float64 lam is inf or nan: k = 0 takes no Bessel argument, any
-    other k fails as a value past float64.  A point whose scaled |x| is inf
-    lies in neither mask.
-    """
+    """The cone edge's mask and the open cone's at points x; a point whose
+    |x| / ``_length_unit(c)`` is inf lies in neither."""
     u = _length_unit(c)
     radius = c / u * abs(t)
     # classify on magnitudes normalized by the larger one, so the relative
     # tolerance survives even where the raw squares would underflow
     with np.errstate(over="ignore", invalid="ignore"):
         r = np.abs(x) / u
-        lam = radius * radius - r * r
         big = np.maximum(r, radius)
         big[big == 0.0] = 1.0
         rn2 = r / big
@@ -87,38 +81,50 @@ def _masks(x: np.ndarray, t: float, c: float):
     lam_n = cn2 - rn2
     tol = CONE_EPS * (cn2 + rn2)
     # tol >= 0, so lam_n > tol is lam_n > 0 off the boundary
-    return lam, np.abs(lam_n) <= tol, lam_n > tol
+    return np.abs(lam_n) <= tol, lam_n > tol
 
 
-def _cone_values(x: np.ndarray, lam: np.ndarray, t: float, medium: MediumParams,
+def _cone_values(x: np.ndarray, t: float, medium: MediumParams,
                  w_psi: float, w_reg: float, w_dip: float, edge=None) -> np.ndarray:
     """w_psi psi + w_reg psi_t,reg + w_dip c psi_x at points x of the closed cone.
 
-    lam is the caller's, in ``_masks``' units, clipped at 0 here.  psi takes its
-    edge value sgn(t)/(2c) on the points of the mask edge; psi_t,reg keeps
-    each point's own lam.  c psi_x is -(x/(ct)) psi_t,reg, its edge atoms
-    the caller's.  No term costs a Bessel evaluation at k = 0 or at zero
-    weight (the result is the scalar 0.0 if no term remains); a value past
-    float64 raises DomainError.
+    lam = (c t)^2 - x^2 is formed here, in units of ``_length_unit(c)``^2 and
+    clipped at 0, with sqrt(lam) as sqrt(c|t| - |x|) sqrt(c|t| + |x|) where
+    (c t)^2 is past float64's normal range [2^-1022, 2^1024) (a tiny k at a
+    huge |t|, a huge k at a tiny one).  psi takes its edge value sgn(t)/(2c) on
+    the points of the mask edge; psi_t,reg keeps each point's own lam.  c psi_x is
+    -(x/(ct)) psi_t,reg, its edge atoms the caller's.  No term costs a Bessel
+    evaluation at k = 0 or at zero weight (the result is the scalar 0.0 if no
+    term remains); a value past float64 raises DomainError.
     """
-    free = medium.k == 0.0  # I0 = 1 and psi_t,reg = 0, even where lam = inf
-    # 2 alpha sqrt(c^2 t^2 - x^2) = k/(2 c/u) * sqrt(lam), lam in units of u^2
-    u = _length_unit(medium.c)
-    arg = None if free else 0.5 * medium.k / (medium.c / u) * np.sqrt(np.maximum(lam, 0.0))
+    free = medium.k == 0.0  # I0 = 1 and psi_t,reg = 0: no argument, even where lam = inf
     out = 0.0
     with np.errstate(over="ignore", invalid="ignore"):
+        if not free:
+            # 2 alpha sqrt(c^2 t^2 - x^2) = k/(2 c/u) * sqrt(lam), lam in units of u^2
+            u = _length_unit(medium.c)
+            radius = medium.c / u * abs(t)
+            r = np.abs(x) / u
+            if 2.0 ** -1022 <= radius * radius < math.inf:
+                root = np.sqrt(np.maximum(radius * radius - r * r, 0.0))
+            else:
+                root = np.sqrt(np.maximum(radius - r, 0.0)) * np.sqrt(radius + r)
+            arg = 0.5 * medium.k / (medium.c / u) * root
         if w_psi != 0.0:
             edge_value = (math.copysign(1.0, t) if t != 0.0 else 0.0) / (2.0 * medium.c)
-            out = edge_value * (np.ones(np.shape(lam)) if free else bessel.i0_array(arg))
+            out = edge_value * (np.ones(np.shape(x)) if free else bessel.i0_array(arg))
             if edge is not None:
                 out[edge] = edge_value
             out *= w_psi
         if (w_reg != 0.0 or w_dip != 0.0) and not free:
-            # 2 alpha^2 c |t| = 2 q^2 |t|/c, q = k/4: no alpha^2 to overflow at tiny c.  numpy's
-            # scalar q**2 is inf where Python's raises OverflowError; q (q |t|) then may not be
-            q = np.float64(0.25 * medium.k)
-            scale = 2.0 * q ** 2 * abs(t) / medium.c
-            scale = scale if math.isfinite(scale) else 2.0 * q * (q * abs(t)) / medium.c
+            # 2 alpha^2 c |t| = 2 q^2 |t|/c, q = k/4, by mantissas and exponents where a step
+            # leaves float64's normal range (numpy's q**2 is inf where Python's raises)
+            q2 = np.float64(0.25 * medium.k) ** 2
+            twice = 2.0 * q2 * abs(t)
+            scale = twice / medium.c
+            if not all(2.0 ** -1022 <= v < math.inf for v in (q2, twice, scale)):
+                (mk, ek), (mt, et), (mc, ec) = (math.frexp(v) for v in (medium.k, abs(t), medium.c))
+                scale = np.ldexp(mk * mk * mt / mc, 2 * ek + et - ec - 3)
             reg = scale * bessel.i1_over_z_array(arg)
             ct = medium.c * t
             reg *= (w_reg * ct - w_dip * x) / ct if w_dip != 0.0 else w_reg
@@ -136,11 +142,11 @@ def _cone_combination(x, t: float, medium: MediumParams, w_psi: float, w_reg: fl
     t = _check_time(t)
     if not np.all(np.isfinite(x)):
         raise DomainError("positions must be finite")
-    lam, boundary, inside = _masks(x, t, medium.c)
+    boundary, inside = _masks(x, t, medium.c)
     supported = boundary | inside
     out = np.zeros_like(x)
-    out[supported] = _cone_values(x[supported], lam[supported], t, medium,
-                                  w_psi, w_reg, w_dip, boundary[supported])
+    out[supported] = _cone_values(x[supported], t, medium, w_psi, w_reg, w_dip,
+                                  boundary[supported])
     return float(out[0]) if scalar else out
 
 

@@ -13,7 +13,7 @@ import math
 from dataclasses import dataclass
 
 from .errors import UsageError
-from .fields import SampledField, derivative_x, l2_norm
+from .fields import SampledField, _require_shared_grid, derivative_x, l2_norm
 from .kernel import MediumParams
 from .solver import _solve_shared, _velocity_data
 
@@ -26,8 +26,7 @@ class StatePair:
     ut: SampledField
 
     def __post_init__(self):
-        if self.u.grid != self.ut.grid:
-            raise UsageError("state components must share one grid")
+        _require_shared_grid(self.u, self.ut)
 
 
 def evolve(t: float, state: StatePair, medium: MediumParams) -> StatePair:

@@ -30,9 +30,9 @@ from typing import Optional
 import numpy as np
 
 from .errors import DomainError, UsageError
-from .fields import MixedMeasure, SampledField, SpaceGrid, _fold, _outside_support
-from .kernel import (MediumParams, _check_time, _cone_combination, _cone_values,
-                     _length_unit, _masks)
+from .fields import (MixedMeasure, SampledField, SpaceGrid, _fold, _outside_support,
+                     _require_shared_grid)
+from .kernel import MediumParams, _check_time, _cone_combination, _cone_values, _masks
 from .quadrature import panel_count
 
 #: Point data at the origin as rows (a, b, d): f = a delta, g = b delta + d c delta'.
@@ -42,12 +42,6 @@ _POINT_DATA = {
     "financial": (1.0, 0.0, -1.0),
 }
 DELTA_KINDS = tuple(_POINT_DATA)
-
-
-def _require_shared_grid(f: SampledField, g: SampledField) -> SpaceGrid:
-    if f.grid != g.grid:
-        raise UsageError("initial displacement and velocity must share one grid")
-    return f.grid
 
 
 def _cone_stencils(grid: SpaceGrid, t: float, medium: MediumParams,
@@ -76,14 +70,10 @@ def _cone_stencils(grid: SpaceGrid, t: float, medium: MediumParams,
     offsets[j == n_sub] = radius
     ends = (j == 0) | (j == n_sub)
     weights = np.where(ends, 1.0, np.where(j % 2, 4.0, 2.0)) * (h / 3.0)
-    u = _length_unit(medium.c)
-    # numpy's scalar pow is Python's, but gives inf where Python's raises OverflowError
-    with np.errstate(over="ignore", invalid="ignore"):  # inf or nan past float64, as in _masks
-        lam = np.float64(medium.c / u * t) ** 2 - (offsets / u) ** 2
     rows = []
     for name in kernels:
         dt = name == "kernel_dt"
-        rows.append(weights * _cone_values(offsets, lam, t, medium, 1.0 - dt, 1.0 * dt, 0.0))
+        rows.append(weights * _cone_values(offsets, t, medium, 1.0 - dt, 1.0 * dt, 0.0))
         if dt:
             rows[-1][ends] += 0.5
     return _fold(grid, offsets, np.array(rows), out_grid)
@@ -201,9 +191,9 @@ def point_source_solution(kind: str, t: float, medium: MediumParams,
         return damp * _cone_combination(x, t, medium, w_psi, a, d)
 
     x = grid.points()
-    lam, _, inside = _masks(x, t, medium.c)  # the cone-edge points get no sample
+    _, inside = _masks(x, t, medium.c)  # the cone-edge points get no sample
     samples = np.zeros_like(x)
-    samples[inside] = damp * _cone_values(x[inside], lam[inside], t, medium, w_psi, a, d)
+    samples[inside] = damp * _cone_values(x[inside], t, medium, w_psi, a, d)
     return MixedMeasure(
         atoms=atoms,
         density=SampledField(grid, samples),

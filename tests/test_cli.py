@@ -237,6 +237,13 @@ class TestValidateCommand:
         doc = json.loads(out)
         assert doc["reports"][0]["value"] < 1e-8
 
+    def test_duhamel_suite_k0_is_the_closed_form(self, capsys):
+        # the free-wave residual is 0 by construction, so k = 0 checks d'Alembert
+        code, out, _ = run_cli(["validate", "--suite", "duhamel", "--k", "0",
+                                "--c", "0.7"], capsys)
+        assert code == 0
+        assert [r["name"] for r in json.loads(out)["reports"]] == ["dalembert_closed_form"]
+
     def test_failing_suite_exits_1(self, capsys):
         # starving the walk of samples leaves TV noise above tolerance
         code, out, _ = run_cli(["validate", "--suite", "walk", "--n-walkers",

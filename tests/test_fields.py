@@ -151,10 +151,6 @@ class TestMixedMeasure:
 
     def test_mass_paths(self):
         dens = self._density()
-        # exact short-circuit
-        m = tg.MixedMeasure(atoms=((0.0, 0.25),), density=dens,
-                            support=(-0.5, 0.5), density_mass_exact=0.75)
-        assert m.mass_breakdown().total == 1.0
         # closed-form callable
         m2 = tg.MixedMeasure(atoms=(), density=dens, support=(-0.5, 0.5),
                              density_fn=lambda x: np.ones_like(np.asarray(x, float)))

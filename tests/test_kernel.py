@@ -95,6 +95,18 @@ class TestKernelValues:
         reg = tg.time_derivative_regular(0.0, t, tg.MediumParams(k=1e160, c=1.0))
         assert abs(reg / 6.25e148 - 1.0) <= 1e-14
 
+    @pytest.mark.parametrize("t", [1e155, -1e155])
+    @pytest.mark.parametrize("x", [0.0, 5e154])
+    def test_tiny_damping_at_huge_time(self, x, t):
+        # (c t)^2 = 1e310 is past float64, the Bessel argument
+        # z = k/(2c) sqrt(c^2 t^2 - x^2) <= 500 is not
+        m = tg.MediumParams(k=1e-152, c=1.0)
+        z = 500.0 * math.sqrt(1.0 - (x / 1e155) ** 2)
+        psi = tg.fundamental_solution(x, t, m)
+        assert abs(psi / (math.copysign(0.5, t) * tg.i0(z)) - 1.0) <= 1e-12
+        reg = tg.time_derivative_regular(x, t, m)
+        assert abs(reg / (1e-304 * abs(t) / 8.0 * tg.i1_over_z(z)) - 1.0) <= 1e-12
+
     @pytest.mark.parametrize("t", [1e300, -1e300])
     def test_huge_wave_speed_at_huge_time(self, t):
         # c|t| = inf, but not in units of a power of two near c, where the cone

@@ -294,7 +294,7 @@ class TestPointDataRows:
         meas = tg.point_source_solution(kind, 2.0, medium, grid)
         x = grid.points()
         expected = meas.density_fn(x)
-        edge = kernel._masks(x, 2.0, medium.c)[1]
+        edge = kernel._masks(x, 2.0, medium.c)[0]
         assert edge.sum() == 2
         expected[edge] = 0.0
         assert np.array_equal(meas.density.values, expected)
