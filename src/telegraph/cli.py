@@ -274,16 +274,17 @@ _COMMON = {
     "c": (float, 1.0),
     "t": (float, 1.0),
     "out": (str, None),
-    "format": (("csv", "json"), "csv"),
     "config": (str, None),
 }
+_FORMAT = {"format": (("csv", "json"), "csv")}  # validate always writes JSON
 _OPTIONS = {
-    "kernel": {**_COMMON, "xmin": (float, -2.0), "xmax": (float, 2.0), "n": (int, 401)},
-    "solve": {**_COMMON, "xmin": (float, -8.0), "xmax": (float, 8.0), "n": (int, 4097),
+    "kernel": {**_COMMON, **_FORMAT, "xmin": (float, -2.0), "xmax": (float, 2.0),
+               "n": (int, 401)},
+    "solve": {**_COMMON, **_FORMAT, "xmin": (float, -8.0), "xmax": (float, 8.0), "n": (int, 4097),
               "init": (("gaussian", "file"), "gaussian"), "file": (str, None),
               "f_center": (float, 0.0), "f_width": (float, 1.0),
               "g_amp": (float, 0.0), "g_center": (float, 0.0), "g_width": (float, 1.0)},
-    "delta": {**_COMMON, "kind": (DELTA_KINDS, "delta_position"),
+    "delta": {**_COMMON, **_FORMAT, "kind": (DELTA_KINDS, "delta_position"),
               "xmin": (float, None), "xmax": (float, None), "n": (int, 2049)},
     "validate": {**_COMMON, "suite": ((*_SUITES, "all"), "all"), "dx": (float, 1.0 / 512),
                  "n_walkers": (int, 1_000_000), "dt_walk": (float, 1e-3), "slabs": (int, 32),

@@ -64,24 +64,17 @@ def _length_unit(c: float) -> float:
 
 
 def _masks(x: np.ndarray, t: float, c: float):
-    """The cone edge's mask and the open cone's at points x; a point whose
-    |x| / ``_length_unit(c)`` is inf lies in neither."""
+    """The cone edge's mask and the open cone's at points x, by the gap c|t| - |x|
+    in units of ``_length_unit(c)``: on the edge within CONE_EPS of the smaller of
+    c|t| and |x|, inside past that.  An infinite |x|/u lies in neither, and an
+    infinite c|t|/u holds every finite x."""
     u = _length_unit(c)
     radius = c / u * abs(t)
-    # classify on magnitudes normalized by the larger one, so the relative
-    # tolerance survives even where the raw squares would underflow
     with np.errstate(over="ignore", invalid="ignore"):
         r = np.abs(x) / u
-        big = np.maximum(r, radius)
-        big[big == 0.0] = 1.0
-        rn2 = r / big
-        rn2 *= rn2
-        cn2 = radius / big
-        cn2 *= cn2
-    lam_n = cn2 - rn2
-    tol = CONE_EPS * (cn2 + rn2)
-    # tol >= 0, so lam_n > tol is lam_n > 0 off the boundary
-    return np.abs(lam_n) <= tol, lam_n > tol
+        gap = radius - r
+    tol = CONE_EPS * np.minimum(radius, r)
+    return np.abs(gap) <= tol, gap > tol
 
 
 def _cone_values(x: np.ndarray, t: float, medium: MediumParams,
@@ -90,20 +83,22 @@ def _cone_values(x: np.ndarray, t: float, medium: MediumParams,
 
     lam = (c t)^2 - x^2 is formed here, in units of ``_length_unit(c)``^2 and
     clipped at 0, with sqrt(lam) as sqrt(c|t| - |x|) sqrt(c|t| + |x|) where
-    (c t)^2 is past float64's normal range [2^-1022, 2^1024) (a tiny k at a
-    huge |t|, a huge k at a tiny one).  psi takes its edge value sgn(t)/(2c) on
-    the points of the mask edge; psi_t,reg keeps each point's own lam.  c psi_x is
-    -(x/(ct)) psi_t,reg, its edge atoms the caller's.  No term costs a Bessel
+    (c t)^2 is past float64's normal range [2^-1022, 2^1024).  psi takes its edge
+    value sgn(t)/(2c) on the points of the mask edge; psi_t,reg keeps each point's
+    own lam.  c psi_x is -(x/(ct)) psi_t,reg, its edge atoms the caller's.  Their
+    factor k^2 |t|/(8c) is m 2^e from the mantissas and exponents of k, |t| and c;
+    m meets I1(z)/z and (w_reg ct - w_dip x)/ct, ct in units of u, before 2^e, so
+    no step leaves float64 before the value does.  No term costs a Bessel
     evaluation at k = 0 or at zero weight (the result is the scalar 0.0 if no
     term remains); a value past float64 raises DomainError.
     """
     free = medium.k == 0.0  # I0 = 1 and psi_t,reg = 0: no argument, even where lam = inf
     out = 0.0
+    u = _length_unit(medium.c)
+    radius = medium.c / u * abs(t)
     with np.errstate(over="ignore", invalid="ignore"):
         if not free:
             # 2 alpha sqrt(c^2 t^2 - x^2) = k/(2 c/u) * sqrt(lam), lam in units of u^2
-            u = _length_unit(medium.c)
-            radius = medium.c / u * abs(t)
             r = np.abs(x) / u
             if 2.0 ** -1022 <= radius * radius < math.inf:
                 root = np.sqrt(np.maximum(radius * radius - r * r, 0.0))
@@ -117,18 +112,11 @@ def _cone_values(x: np.ndarray, t: float, medium: MediumParams,
                 out[edge] = edge_value
             out *= w_psi
         if (w_reg != 0.0 or w_dip != 0.0) and not free:
-            # 2 alpha^2 c |t| = 2 q^2 |t|/c, q = k/4, by mantissas and exponents where a step
-            # leaves float64's normal range (numpy's q**2 is inf where Python's raises)
-            q2 = np.float64(0.25 * medium.k) ** 2
-            twice = 2.0 * q2 * abs(t)
-            scale = twice / medium.c
-            if not all(2.0 ** -1022 <= v < math.inf for v in (q2, twice, scale)):
-                (mk, ek), (mt, et), (mc, ec) = (math.frexp(v) for v in (medium.k, abs(t), medium.c))
-                scale = np.ldexp(mk * mk * mt / mc, 2 * ek + et - ec - 3)
-            reg = scale * bessel.i1_over_z_array(arg)
-            ct = medium.c * t
-            reg *= (w_reg * ct - w_dip * x) / ct if w_dip != 0.0 else w_reg
-            out += reg
+            (mk, ek), (mt, et), (mc, ec) = (math.frexp(v) for v in (medium.k, abs(t), medium.c))
+            reg = mk * mk * mt / mc * bessel.i1_over_z_array(arg)
+            ct = math.copysign(radius, t)
+            reg *= (w_reg * ct - w_dip * (x / u)) / ct if w_dip != 0.0 else w_reg
+            out += np.ldexp(reg, 2 * ek + et - ec - 3)
     if not np.isfinite(out).all():
         raise DomainError(f"kernel values exceed float64 at k|t| = {medium.k * abs(t):g}")
     return out

@@ -227,8 +227,6 @@ def convolve_measure(m: MixedMeasure, t: float, medium: MediumParams, which: str
         raise UsageError(f"which must be 'kernel' or 'kernel_dt', got {which!r}")
     t = _check_time(t)
     lo, hi = m.support
-    if not (math.isfinite(lo) and math.isfinite(hi)):
-        raise UsageError("measure support must be bounded")
     radius = medium.c * abs(t)
     if out_grid is None:
         if m.density is None:

@@ -244,6 +244,19 @@ class TestValidateCommand:
         assert code == 0
         assert [r["name"] for r in json.loads(out)["reports"]] == ["dalembert_closed_form"]
 
+    @pytest.mark.parametrize("suite,names", [
+        ("duhamel", ["duhamel_fixed_point"]),
+        ("semigroup", ["composition_u", "composition_ut"]),
+    ])
+    def test_damped_suite_passes(self, capsys, schema, suite, names):
+        code, out, _ = run_cli(["validate", "--suite", suite, "--k", "1"], capsys)
+        assert code == 0
+        doc = json.loads(out)
+        jsonschema.validate(doc, schema)
+        assert [r["name"] for r in doc["reports"]] == names
+        assert all(r["pass"] for r in doc["reports"])
+        assert "format" not in doc["config"]  # validate always writes JSON
+
     def test_failing_suite_exits_1(self, capsys):
         # starving the walk of samples leaves TV noise above tolerance
         code, out, _ = run_cli(["validate", "--suite", "walk", "--n-walkers",
@@ -366,6 +379,7 @@ class TestConfigHandling:
     @pytest.mark.parametrize("argv", [
         ["delta", "--mass-panels", "8"],
         ["validate", "--suite", "fd", "--courant", "0.5"],
+        ["validate", "--suite", "fd", "--format", "csv"],
     ])
     def test_fixed_setting_is_no_flag(self, argv):
         with pytest.raises(SystemExit) as exc:

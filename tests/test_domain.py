@@ -6,6 +6,9 @@ follows the cone radius, are left out: only an address-space limit on a
 separate process could bound what they allocate.
 """
 
+import functools
+import math
+
 import numpy as np
 import pytest
 
@@ -86,3 +89,77 @@ def test_only_k_t_and_c_t_matter(s):
     g_s = tg.SampledField(GRID, G.values / s)
     u = tg.solve(F, G, t, m).values
     assert np.max(np.abs(tg.solve(F, g_s, s * t, ms).values - u)) <= 1e-14 * np.max(np.abs(u))
+
+
+#: Where float64's I0 and I1 overflow, so DomainError is due however small 1/(2c) is.
+BESSEL_OVERFLOW = 713.9
+
+
+@functools.lru_cache(maxsize=None)
+def _bessel_pair(z):
+    """I0(z) and I1(z)/z to 30 digits, z an mpf."""
+    mpmath = pytest.importorskip("mpmath")
+    with mpmath.workdps(30):
+        return mpmath.besseli(0, z), (mpmath.besseli(1, z) / z if z else mpmath.mpf(0.5))
+
+
+def _exact(k, c, t, x):
+    """psi and psi_t,reg at (x, t) to 30 digits, None past BESSEL_OVERFLOW, and the
+    Bessel argument k/(2c) sqrt(c^2 t^2 - x^2)."""
+    mpmath = pytest.importorskip("mpmath")
+    with mpmath.workdps(30):
+        k, c, t, x = (mpmath.mpf(v) for v in (k, c, t, x))
+        z = k / (2 * c) * mpmath.sqrt(c * c * t * t - x * x)
+        if z > BESSEL_OVERFLOW:
+            return None, None, z
+        i0, i1_over_z = _bessel_pair(z)
+        return mpmath.sign(t) / (2 * c) * i0, k * k * abs(t) / (8 * c) * i1_over_z, z
+
+
+@pytest.mark.filterwarnings("error")
+def test_kernel_functions_match_mpmath():
+    # every (k, c, t) of the sweep at x = 0 and x = c|t|/2, where the Bessel argument
+    # is at most 700: an exact value of 0 or a normal one matches to 1e-12, one past
+    # float64 raises DomainError; past BESSEL_OVERFLOW DomainError is accepted
+    pytest.importorskip("mpmath")
+    tiny, huge = 2.0 ** -1022, np.finfo(float).max
+    wrong = []
+    for k in KS:
+        for c in CS:
+            m = tg.MediumParams(k=k, c=c)
+            for t in TS:
+                for x in {0.0, 0.5 * c * abs(t)} - {math.inf}:
+                    psi, reg, z = _exact(k, c, t, x)
+                    for fn, ref in ((tg.fundamental_solution, psi),
+                                    (tg.time_derivative_regular, reg)):
+                        case = f"{fn.__name__}({x}, {t}) at k = {k}, c = {c}"
+                        try:
+                            got = fn(x, t, m)
+                        except tg.DomainError:
+                            if ref is not None and abs(ref) <= huge:
+                                wrong.append(f"{case}: DomainError, exact {float(ref):.14g}")
+                            continue
+                        if ref is None or z > 700 or 0 < abs(ref) < tiny:
+                            continue
+                        if abs(ref) > huge or abs(got - ref) > 1e-12 * abs(ref):
+                            wrong.append(f"{case}: {got!r}, exact {float(ref):.14g}")
+    assert not wrong, "\n".join(wrong)
+
+
+@pytest.mark.filterwarnings("error")
+def test_financial_law_at_a_tiny_cone():
+    # c t = 1e-400 underflows in plain units; the dipole factor is formed in c's units
+    m = tg.MediumParams(k=1.0, c=1e-300)
+    law = tg.point_source_solution("financial", 1e-100, m, GRID)
+    assert law.atoms == ((m.c * 1e-100, 1.0),)
+    assert law.mass_breakdown().total == pytest.approx(1.0, rel=1e-15, abs=0.0)
+
+
+@pytest.mark.filterwarnings("error")
+def test_infinite_radius_holds_every_finite_x():
+    # c|t| overflows even in c's units: every finite x lies inside the cone
+    x = [0.0, 1.0]
+    assert tg.fundamental_solution(x, 1.7e308, tg.MediumParams(k=0.0, c=1.9)).tolist() == [
+        1.0 / (2 * 1.9)] * 2
+    with pytest.raises(tg.DomainError):
+        tg.fundamental_solution(x, 1.7e308, tg.MediumParams(k=1.0, c=1.9))
