@@ -9,7 +9,7 @@ cross-check every route, and a batch CLI exposes kernels, solutions,
 measures and validation suites as CSV/JSON tables.
 """
 
-from .bessel import BesselEval, i0, i0_eval, i1, i1_eval, i1_over_z
+from .bessel import i0, i1, i1_over_z
 from .errors import DomainError, UsageError
 from .fields import (MassBreakdown, MixedMeasure, SampledField, SpaceGrid,
                      from_function, l2_norm, derivative_x, sample_at,
@@ -26,12 +26,12 @@ from .solver import (convolve_measure, point_source_solution, solve,
 __version__ = "0.1.0"
 
 __all__ = [
-    "BesselEval", "DomainError", "DuhamelConfig", "FDConfig", "MassBreakdown",
+    "DomainError", "DuhamelConfig", "FDConfig", "MassBreakdown",
     "MediumParams", "MixedMeasure", "NormRow", "SampledField", "SpaceGrid",
     "StatePair", "UsageError", "ValidationReport", "WalkConfig",
     "binned_tv_distance", "convolve_measure", "derivative_x",
     "duhamel_residual", "expected_never_flip", "fd_config_for", "fd_solve",
-    "from_function", "fundamental_solution", "i0", "i0_eval", "i1", "i1_eval",
+    "from_function", "fundamental_solution", "i0", "i1",
     "i1_over_z", "l2_norm", "norm_report", "point_source_solution",
     "rel_l2_error", "sample_at", "sample_shifted", "simulate_walk", "solve",
     "solve_rescaled", "time_derivative_regular", "evolve", "velocity",

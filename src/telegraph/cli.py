@@ -95,8 +95,9 @@ def _file_data(path: Optional[str]) -> tuple[SampledField, SampledField]:
     data = np.asarray(rows, dtype=float)
     x = data[:, 0]
     dx = x[1] - x[0]
-    if dx <= 0 or np.max(np.abs(np.diff(x) - dx)) > 1e-9 * max(1.0, abs(dx)):
-        raise UsageError(f"{path}: x column must be uniformly increasing")
+    if (not np.all(np.isfinite(x)) or dx <= 0
+            or np.max(np.abs(np.diff(x) - dx)) > 1e-9 * max(1.0, abs(dx))):
+        raise UsageError(f"{path}: x column must be finite and uniformly increasing")
     grid = SpaceGrid(x0=float(x[0]), dx=float(dx), n=len(x))
     return SampledField(grid, data[:, 1]), SampledField(grid, data[:, 2])
 

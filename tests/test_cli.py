@@ -130,6 +130,16 @@ class TestSolveCommand:
         assert code == 2
         assert "three columns" in err
 
+    @pytest.mark.parametrize("xs", ["0,1,nan,3", "0,1,2,nan"])
+    def test_non_finite_x_is_exit_2(self, capsys, tmp_path, xs):
+        # a nan fails every comparison, so the spacing check alone let it through
+        bad = tmp_path / "nan_x.csv"
+        bad.write_text("x,f,g\n" + "".join(f"{x},1.0,0.0\n" for x in xs.split(",")))
+        code, out, err = run_cli(["solve", "--init", "file", "--file", str(bad)], capsys)
+        assert code == 2
+        assert err.startswith("error:") and "x column" in err
+        assert out == ""
+
     def test_missing_file_is_exit_2(self, capsys):
         code, _, _ = run_cli(["solve", "--init", "file", "--file",
                               "/nonexistent/init.csv"], capsys)
@@ -271,6 +281,46 @@ class TestValidateCommand:
                                 "--dt-walk", "1"], capsys)
         assert code == 2
         assert "repeat probability" in err
+
+
+# corners of each subcommand's domain, with the exit code each must give: 0, or 2
+# with one error line; a RuntimeWarning on the way is an error (pyproject)
+_CORNERS = [
+    ("kernel --n 5", 0),
+    # the undamped kernel at c^2 t^2 = inf: psi = 0.5, no 0 * inf
+    ("kernel --k 0 --t 1e300 --n 5", 0),
+    # x^2 overflows on the default grid, which reaches |x| = 1.1e300
+    ("delta --k 0 --t 1e300", 0),
+    # c^2 t^2 underflows; lam is formed in units of a power of two near c
+    ("kernel --k 1 --c 1e-300 --t 0.37 --n 5", 0),
+    # c^2 t^2 overflows, the Bessel argument k t/2 = 500 does not
+    ("kernel --k 1e-152 --t 1e155 --n 5", 0),
+    ("delta --k 1e-152 --t 1e155 --n 65", 0),
+    ("solve --n 257 --format json", 0),
+    ("delta --kind financial", 0),
+    # c t = 1e-400 underflows; the dipole factor is formed in units of a power of two near c
+    ("delta --kind financial --k 1 --c 1e-300 --t 1e-100 --xmin -4 --xmax 4 --n 129", 0),
+    ("validate --suite fd --dx 0.0078125", 0),
+    ("validate --suite all", 0),
+    # the growth-compensated kernel leaves float64 at k|t| = 1820 and 3000
+    ("kernel --t -1.3 --k 1400", 2),
+    ("delta --k 3000 --t 1", 2),
+    # a cone window too wide for float64 to index its Simpson nodes
+    ("solve --t 1e306 --n 257", 2),
+    # e^{-kt/2} = e^600 times the field overflows
+    ("solve --t -30 --k 40 --n 257", 2),
+    # the kernel table's atoms at -+ct, ct = 1e310
+    ("kernel --c 1e300 --t 1e10 --n 5", 2),
+    # k t / 2 = 700: I0 stays in float64 and e^{-kt/2} = 1e-304 is still a normal number
+    ("delta --kind delta_velocity --k 1400 --t 1 --n 65", 0),
+]
+
+
+@pytest.mark.parametrize("command,expected", _CORNERS, ids=[c for c, _ in _CORNERS])
+def test_corner_exits_0_or_2_with_one_error_line(capsys, command, expected):
+    code, _, err = run_cli(command.split(), capsys)
+    assert code == expected
+    assert sum(ln.startswith("error:") for ln in err.splitlines()) == (1 if code == 2 else 0)
 
 
 class TestOutOfDomainInput:
