@@ -12,8 +12,7 @@ measures and validation suites as CSV/JSON tables.
 from .bessel import i0, i1, i1_over_z
 from .errors import DomainError, UsageError
 from .fields import (MassBreakdown, MixedMeasure, SampledField, SpaceGrid,
-                     from_function, l2_norm, derivative_x, sample_at,
-                     sample_shifted, zeros)
+                     from_function, l2_norm, derivative_x, zeros)
 from .kernel import MediumParams, fundamental_solution, time_derivative_regular
 from .oracles import (DuhamelConfig, FDConfig, ValidationReport, WalkConfig,
                       binned_tv_distance, duhamel_residual, expected_never_flip,
@@ -33,7 +32,7 @@ __all__ = [
     "duhamel_residual", "expected_never_flip", "fd_config_for", "fd_solve",
     "from_function", "fundamental_solution", "i0", "i1",
     "i1_over_z", "l2_norm", "norm_report", "point_source_solution",
-    "rel_l2_error", "sample_at", "sample_shifted", "simulate_walk", "solve",
+    "rel_l2_error", "simulate_walk", "solve",
     "solve_rescaled", "time_derivative_regular", "evolve", "velocity",
     "walk_config_for", "zeros",
 ]

@@ -18,6 +18,12 @@ from .errors import DomainError, UsageError
 from .quadrature import MASS_PANELS, composite_simpson
 
 
+def _is_count(n, least: int) -> bool:
+    """Whether n is an integer in [least, 2^53]: past 2^53 float64 no longer
+    holds every index (the bound of ``quadrature.panel_count``)."""
+    return isinstance(n, (int, np.integer)) and least <= n <= 2 ** 53
+
+
 @dataclass(frozen=True)
 class SpaceGrid:
     """Uniform 1-D grid: points x_i = x0 + i*dx for i = 0..n-1."""
@@ -27,12 +33,13 @@ class SpaceGrid:
     n: int
 
     def __post_init__(self):
-        if not (math.isfinite(self.x0) and math.isfinite(self.dx)):
+        if not _is_count(self.n, 2):
+            raise UsageError(f"grid needs an integer 2 to 2^53 points, got {self.n!r}")
+        object.__setattr__(self, "n", int(self.n))  # x_end in Python floats: no overflow warning
+        if not (math.isfinite(self.x0) and math.isfinite(self.dx) and math.isfinite(self.x_end)):
             raise UsageError("grid endpoints must be finite")
         if self.dx <= 0:
             raise UsageError(f"grid spacing must be positive, got {self.dx}")
-        if int(self.n) != self.n or self.n < 2:
-            raise UsageError(f"grid needs at least 2 points, got {self.n}")
 
     @property
     def x_end(self) -> float:

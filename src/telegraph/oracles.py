@@ -22,8 +22,8 @@ from typing import Optional
 import numpy as np
 
 from .errors import UsageError
-from .fields import MixedMeasure, SampledField, SpaceGrid, _require_shared_grid
-from .kernel import MediumParams
+from .fields import MixedMeasure, SampledField, SpaceGrid, _is_count, _require_shared_grid
+from .kernel import MediumParams, _check_time
 from .quadrature import integrate_bins, simpson_pattern
 from .solver import _cone_stencils, _rescaled_values, solve_rescaled
 
@@ -50,8 +50,8 @@ class FDConfig:
     def __post_init__(self):
         if self.dt <= 0 or not math.isfinite(self.dt):
             raise UsageError(f"dt must be positive and finite, got {self.dt}")
-        if self.steps < 1:
-            raise UsageError(f"steps must be >= 1, got {self.steps}")
+        if not _is_count(self.steps, 1):
+            raise UsageError(f"steps must be an integer 1 to 2^53, got {self.steps!r}")
 
 
 def fd_config_for(t_final: float, grid: SpaceGrid, medium: MediumParams) -> FDConfig:
@@ -128,8 +128,8 @@ class WalkConfig:
         if self.dx <= 0:
             raise UsageError("dx must be positive")
         counts = (self.n_steps, self.n_walkers)
-        if not all(isinstance(n, (int, np.integer)) and n >= 1 for n in counts):
-            raise UsageError(f"step and walker counts must be integers >= 1, got {counts}")
+        if not all(_is_count(n, 1) for n in counts):
+            raise UsageError(f"step and walker counts must be integers 1 to 2^53, got {counts}")
         if not isinstance(self.seed, (int, np.integer)) or self.seed < 0:
             raise UsageError(f"seed must be a nonnegative integer, got {self.seed!r}")
 
@@ -142,9 +142,10 @@ def walk_config_for(medium: MediumParams, dt: float, t_final: float,
     if medium.k * dt > 2.0:
         raise UsageError(
             f"k*dt = {medium.k * dt} > 2 puts the repeat probability below 0")
-    n_steps = round(t_final / dt) if math.isfinite(t_final) else 0
+    steps = t_final / dt
+    n_steps = round(steps) if 0 < steps <= 2.0 ** 53 else 0
     if abs(n_steps * dt - t_final) > 1e-9 * max(1.0, t_final) or n_steps < 1:
-        raise UsageError(f"t_final = {t_final} is not a positive multiple of dt = {dt}")
+        raise UsageError(f"t_final = {t_final} is not 1 to 2^53 times dt = {dt}")
     return WalkConfig(p=1.0 - 0.5 * medium.k * dt, dx=medium.c * dt,
                       n_steps=n_steps, n_walkers=n_walkers, seed=seed)
 
@@ -264,8 +265,8 @@ class DuhamelConfig:
     n_slabs: int = 32
 
     def __post_init__(self):
-        if self.n_slabs < 2 or self.n_slabs % 2:
-            raise UsageError(f"n_slabs must be even and >= 2, got {self.n_slabs}")
+        if not _is_count(self.n_slabs, 2) or self.n_slabs % 2:
+            raise UsageError(f"n_slabs must be an even integer 2 to 2^53, got {self.n_slabs!r}")
 
 
 def duhamel_residual(f: SampledField, g: SampledField, t: float,
@@ -290,7 +291,7 @@ def duhamel_residual(f: SampledField, g: SampledField, t: float,
     a later call with other ones (f and g by identity) raises UsageError.
     """
     grid = _require_shared_grid(f, g)
-    if t <= 0:
+    if _check_time(t) <= 0:
         raise UsageError(f"fixed-point residual needs t > 0, got {t}")
     ct = medium.c * t
     x = grid.points()

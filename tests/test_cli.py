@@ -1,11 +1,16 @@
 import json
 import math
+import os
+import subprocess
+import sys
 from importlib import resources
+from pathlib import Path
 
 import jsonschema
 import numpy as np
 import pytest
 
+import telegraph
 from telegraph.cli import main
 
 
@@ -240,8 +245,7 @@ class TestValidateCommand:
         assert doc["reports"][0]["value"] < 1e-3
 
     def test_duhamel_suite_k0(self, capsys):
-        code, out, _ = run_cli(["validate", "--suite", "duhamel", "--k", "0",
-                                "--t", "1", "--slabs", "8", "--tol", "1e-8"],
+        code, out, _ = run_cli(["validate", "--suite", "duhamel", "--k", "0", "--t", "1"],
                                capsys)
         assert code == 0
         doc = json.loads(out)
@@ -302,6 +306,19 @@ _CORNERS = [
     ("delta --kind financial --k 1 --c 1e-300 --t 1e-100 --xmin -4 --xmax 4 --n 129", 0),
     ("validate --suite fd --dx 0.0078125", 0),
     ("validate --suite all", 0),
+    # each suite sizes itself from k, c and t, and the Duhamel residual is on u's scale
+    ("validate --suite duhamel --k 8", 0),
+    ("validate --suite fd --t 7 --dx 0.0078125", 0),
+    ("validate --suite semigroup --t 5", 0),
+    # a nan time, and grids or walks of more than 2^53 points or steps
+    ("validate --suite duhamel --t nan", 2),
+    ("validate --suite duhamel --t 1e300", 2),
+    ("validate --suite walk --t 1e300", 2),
+    ("validate --suite walk --t 1e300 --dt-walk 1e-10", 2),
+    # a half-width c|t| + 6 = 1e308 whose point count overflows; 4 k t = inf slabs
+    ("validate --suite fd --c 1e300 --t 1e8", 2),
+    ("validate --suite duhamel --k 1e300 --t 1e10 --c 1e-20", 2),
+    ("kernel --n 10000000000000000000", 2),
     # the growth-compensated kernel leaves float64 at k|t| = 1820 and 3000
     ("kernel --t -1.3 --k 1400", 2),
     ("delta --k 3000 --t 1", 2),
@@ -333,8 +350,7 @@ class TestOutOfDomainInput:
         ["validate", "--suite", "walk", "--t", "nan"],
         ["validate", "--suite", "walk", "--t", "inf"],
         ["validate", "--suite", "walk", "--seed", "-1"],
-        # c*t >= 4 leaves the semigroup comparison window empty
-        ["validate", "--suite", "semigroup", "--t", "5"],
+        ["validate", "--suite", "duhamel", "--t", "inf"],
         # at t < 0, e^{-kt/2} itself, or e^{-kt/2} times the field, overflows float64
         ["solve", "--t", "-20", "--k", "100", "--n", "257"],
         ["solve", "--t", "-10", "--k", "140", "--n", "257"],
@@ -354,6 +370,29 @@ class TestOutOfDomainInput:
         assert code == 2
         assert err.startswith("error:")
         assert out == ""
+
+    @pytest.mark.parametrize("argv", [
+        ["kernel", "--n", "1000000000"],
+        ["solve", "--n", "1000000000"],
+        ["validate", "--suite", "walk", "--dt-walk", "1e-9", "--n-walkers", "10"],
+    ])
+    def test_failed_allocation_exits_2(self, argv):
+        # each asks for an 8 GB array; the 1 GiB address-space limit holds in the
+        # child process alone, so the allocation fails there and nowhere else
+        resource = pytest.importorskip("resource")
+
+        def limit():
+            resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
+
+        env = {**os.environ, "OPENBLAS_NUM_THREADS": "1",
+               "PYTHONWARNINGS": "error::RuntimeWarning",
+               "PYTHONPATH": str(Path(telegraph.__file__).resolve().parents[1])}
+        proc = subprocess.run([sys.executable, "-m", "telegraph.cli", *argv], env=env,
+                              preexec_fn=limit, capture_output=True, text=True, timeout=120)
+        assert proc.returncode == 2
+        assert proc.stdout == ""
+        lines = proc.stderr.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error:")
 
     @pytest.mark.parametrize("argv,message", [
         (["delta", "--t", "-1"], "t > 0"),
@@ -394,6 +433,8 @@ class TestConfigHandling:
         # fixed settings, not options
         ("delta", "mass_panels = 8"),
         ("validate", "courant = 0.5"),
+        ("validate", "tol = 1e-3"),
+        ("validate", "slabs = 8"),
     ])
     def test_bad_config_entry_exits_2(self, capsys, tmp_path, command, entry):
         # file values get the flags' choice checks, and unknown keys are errors
@@ -430,6 +471,9 @@ class TestConfigHandling:
         ["delta", "--mass-panels", "8"],
         ["validate", "--suite", "fd", "--courant", "0.5"],
         ["validate", "--suite", "fd", "--format", "csv"],
+        # each suite sizes itself from k, c and t and has one fixed tolerance
+        ["validate", "--tol", "1e-3"],
+        ["validate", "--slabs", "8"],
     ])
     def test_fixed_setting_is_no_flag(self, argv):
         with pytest.raises(SystemExit) as exc:

@@ -6,6 +6,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import telegraph as tg
+from telegraph import fields
 
 
 class TestSpaceGrid:
@@ -21,7 +22,12 @@ class TestSpaceGrid:
         assert g.x0 == -0.5 and g.n == 8
 
     @pytest.mark.parametrize("x0,dx,n", [(0.0, 0.0, 4), (0.0, -1.0, 4),
-                                         (0.0, 1.0, 1), (math.nan, 1.0, 4)])
+                                         (0.0, 1.0, 1), (math.nan, 1.0, 4),
+                                         # a count that is no integer, or past 2^53
+                                         (0.0, 1.0, 3.0), (0.0, 1.0, math.nan),
+                                         (0.0, 1.0, math.inf), (0.0, 1.0, 10 ** 19),
+                                         # x_end = 5e308 overflows
+                                         (1e308, 1e308, 5)])
     def test_rejects_invalid(self, x0, dx, n):
         with pytest.raises(tg.UsageError):
             tg.SpaceGrid(x0, dx, n)
@@ -52,39 +58,39 @@ class TestInterpolation:
         poly = lambda x: a + b * x + c * x**2 + d * x**3
         f = tg.from_function(g, poly)
         xq = g.x0 + pos * g.dx
-        got = tg.sample_at(f, [xq])[0]
+        got = fields.sample_at(f, [xq])[0]
         assert abs(got - poly(xq)) < 1e-10 * (1 + abs(poly(xq)))
 
     def test_zero_outside_grid(self):
         g = tg.SpaceGrid(0.0, 1.0, 5)
         f = tg.SampledField(g, np.ones(5))
-        assert np.array_equal(tg.sample_at(f, [-0.5, 4.5, 100.0]), [0.0, 0.0, 0.0])
+        assert np.array_equal(fields.sample_at(f, [-0.5, 4.5, 100.0]), [0.0, 0.0, 0.0])
 
     @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
     def test_non_finite_point_rejected(self, bad):
         f = tg.SampledField(tg.SpaceGrid(0.0, 1.0, 5), np.ones(5))
         with pytest.raises(tg.DomainError):
-            tg.sample_at(f, [bad, 2.0])
+            fields.sample_at(f, [bad, 2.0])
 
     @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_huge_finite_points_read_zero_without_overflow(self):
         g = tg.SpaceGrid(-8.0, 1.0 / 256, 4097)
         f = tg.from_function(g, lambda x: np.exp(-x * x))
-        got = tg.sample_at(f, [1e300, 2.0, -1.7e308, 1.7e308])
-        assert np.array_equal(got, [0.0, tg.sample_at(f, [2.0])[0], 0.0, 0.0])
+        got = fields.sample_at(f, [1e300, 2.0, -1.7e308, 1.7e308])
+        assert np.array_equal(got, [0.0, fields.sample_at(f, [2.0])[0], 0.0, 0.0])
 
     def test_grid_points_exact(self):
         g = tg.SpaceGrid(-1.0, 0.125, 17)
         rng = np.random.default_rng(3)
         f = tg.SampledField(g, rng.normal(size=17))
-        assert np.array_equal(tg.sample_at(f, f.x), f.values)
+        assert np.array_equal(fields.sample_at(f, f.x), f.values)
 
     @given(shift_cells=st.integers(min_value=-20, max_value=20))
     def test_integer_shift_is_index_roll(self, shift_cells):
         g = tg.SpaceGrid(0.0, 0.5, 12)
         rng = np.random.default_rng(7)
         f = tg.SampledField(g, rng.normal(size=12))
-        got = tg.sample_shifted(f, shift_cells * g.dx)
+        got = fields.sample_shifted(f, shift_cells * g.dx)
         expected = np.zeros(12)
         for i in range(12):
             j = i + shift_cells
@@ -103,8 +109,8 @@ class TestInterpolation:
         xq = f.x + offset
         interior = (xq > g.x0 + 1e-9) & (xq < g.x_end - 1e-9)
         exterior = (xq < g.x0 - 1e-9) | (xq > g.x_end + 1e-9)
-        shifted = tg.sample_shifted(f, offset)
-        pointwise = tg.sample_at(f, xq)
+        shifted = fields.sample_shifted(f, offset)
+        pointwise = fields.sample_at(f, xq)
         assert np.allclose(shifted[interior], pointwise[interior],
                            rtol=0, atol=1e-14)
         assert np.all(shifted[exterior] == 0.0)
@@ -114,13 +120,13 @@ class TestInterpolation:
     def test_non_finite_shift_rejected(self, offset):
         f = tg.from_function(tg.SpaceGrid(-2.0, 0.25, 17), np.cos)
         with pytest.raises(tg.DomainError, match="finite"):
-            tg.sample_shifted(f, offset)
+            fields.sample_shifted(f, offset)
 
     @pytest.mark.filterwarnings("error::RuntimeWarning")
     @pytest.mark.parametrize("offset", [1e306, -1e306, 1.7e308, -1.7e308])
     def test_huge_finite_shift_reads_zero_without_overflow(self, offset):
         f = tg.from_function(tg.SpaceGrid(-8.0, 1.0 / 256, 4097), lambda x: np.exp(-x * x))
-        assert np.array_equal(tg.sample_shifted(f, offset), np.zeros(4097))
+        assert np.array_equal(fields.sample_shifted(f, offset), np.zeros(4097))
 
 
 class TestNormsAndDerivative:

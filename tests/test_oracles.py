@@ -137,6 +137,17 @@ class TestWalkParams:
             tg.WalkConfig(p=0.5, dx=0.1, seed=1, **counts)
 
 
+@pytest.mark.parametrize("make", [
+    lambda: tg.FDConfig(dt=0.01, steps=2.5),
+    lambda: tg.DuhamelConfig(n_slabs=4.0),
+    lambda: tg.WalkConfig(p=0.5, dx=0.1, n_steps=10 ** 20, n_walkers=10, seed=1),
+], ids=["fd_steps_2.5", "duhamel_slabs_4.0", "walk_steps_1e20"])
+def test_size_is_an_integer_up_to_2_53(make):
+    # a float or an over-large count would fail later, in numpy, with no UsageError
+    with pytest.raises(tg.UsageError, match="integer"):
+        make()
+
+
 class TestSimulateWalk:
     @pytest.mark.parametrize("p, n_steps, reach, atoms", [
         (1.0, 25, 2.5, True),    # never flips
@@ -301,6 +312,14 @@ class TestDuhamel:
         z = tg.zeros(grid)
         with pytest.raises(tg.UsageError):
             tg.duhamel_residual(z, z, 0.0, medium)
+
+    @pytest.mark.parametrize("t", [math.nan, math.inf])
+    def test_time_must_be_finite(self, medium, t):
+        # as at every other entry point, not "dependency cone exceeds the grid"
+        grid = tg.SpaceGrid(-4.0, 1.0 / 64, 513)
+        z = tg.zeros(grid)
+        with pytest.raises(tg.DomainError, match="time must be finite"):
+            tg.duhamel_residual(z, z, t, medium)
 
 
 class TestValidationReport:

@@ -359,6 +359,15 @@ class TestConvolveMeasure:
         flat = np.abs(xo) <= 0.5
         assert np.max(np.abs(out.density.values[flat] - 0.125)) < 1e-13
 
+    @pytest.mark.parametrize("x0", [-100.0, 100.0])
+    def test_out_grid_past_the_cone_is_exactly_zero(self, medium, grid_coarse, x0):
+        # no stencil tap meets the density grid: the empty-stencil path
+        dens = gaussian(grid_coarse)
+        m = tg.MixedMeasure(atoms=(), density=dens, support=(-4.0, 4.0))
+        out_grid = tg.SpaceGrid(x0, grid_coarse.dx, 65)
+        out = tg.convolve_measure(m, 1.0, medium, "kernel", out_grid=out_grid)
+        assert np.array_equal(out.density.values, np.zeros(65))
+
     def test_invalid_which(self, medium, grid_coarse):
         m = tg.MixedMeasure(atoms=((0.0, 1.0),), density=None, support=(0.0, 0.0))
         with pytest.raises(tg.UsageError):
@@ -429,10 +438,10 @@ class TestConeEdgeRule:
         radius = EDGE_MEDIUM.c * abs(t)
         offsets, weights, ft_w, f0_w = cone_nodes(t, EDGE_MEDIUM, EDGE_GRID.dx)
         geff = tg.SampledField(EDGE_GRID, g.values + 0.5 * EDGE_MEDIUM.k * f.values)
-        reference = 0.5 * (tg.sample_shifted(f, radius) + tg.sample_shifted(f, -radius))
+        reference = 0.5 * (fields.sample_shifted(f, radius) + fields.sample_shifted(f, -radius))
         for j, off in enumerate(offsets):
-            reference += weights[j] * ft_w[j] * tg.sample_shifted(f, -off)
-            reference += weights[j] * f0_w[j] * tg.sample_shifted(geff, -off)
+            reference += weights[j] * ft_w[j] * fields.sample_shifted(f, -off)
+            reference += weights[j] * f0_w[j] * fields.sample_shifted(geff, -off)
         got = tg.solve_rescaled(f, g, t, EDGE_MEDIUM).values
         assert_matches_reference(got, reference)
 
@@ -469,10 +478,10 @@ class TestConeEdgeRule:
             kern = ft_w if which == "kernel_dt" else f0_w
             reference = np.zeros(out_grid.n)
             for j, off in enumerate(offsets):
-                reference += weights[j] * kern[j] * tg.sample_at(dens, x - off)
+                reference += weights[j] * kern[j] * fields.sample_at(dens, x - off)
             if which == "kernel_dt":
-                reference += 0.5 * (tg.sample_at(dens, x - radius)
-                                    + tg.sample_at(dens, x + radius))
+                reference += 0.5 * (fields.sample_at(dens, x - radius)
+                                    + fields.sample_at(dens, x + radius))
             reference[(x < -4.0 - radius) | (x > 4.0 + radius)] = 0.0
             got = tg.convolve_measure(m, t, EDGE_MEDIUM, which, out_grid=out_grid)
             assert_matches_reference(got.density.values, reference)
@@ -533,11 +542,11 @@ class TestConeEdgeRule:
             kern = ft_w if name == "kernel_dt" else f0_w
             reference = np.zeros(EDGE_GRID.n)
             for j, off in enumerate(offsets):
-                reference += weights[j] * kern[j] * tg.sample_shifted(fld, -off)
+                reference += weights[j] * kern[j] * fields.sample_shifted(fld, -off)
             if name == "kernel_dt":
                 radius = free.c * abs(t)
-                reference += 0.5 * (tg.sample_shifted(fld, radius)
-                                    + tg.sample_shifted(fld, -radius))
+                reference += 0.5 * (fields.sample_shifted(fld, radius)
+                                    + fields.sample_shifted(fld, -radius))
             assert_matches_reference(result, reference)
 
 
