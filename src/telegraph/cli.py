@@ -153,12 +153,13 @@ def cmd_delta(cfg: RunConfig) -> tuple[dict, bool]:
     t = cfg.values["t"]
     if not t > 0:  # before the default grid, which is derived from ct
         raise DomainError(f"point-source solutions need t > 0, got {t}")
-    ct = medium.c * t
     v = dict(cfg.values)
+    # the default half-width keeps the spacing a normal number however small c t is
+    half = max(1.1 * (medium.c * t), math.ldexp(v["n"] - 1, -1023))
     if v["xmin"] is None:
-        v["xmin"] = -1.1 * ct
+        v["xmin"] = -half
     if v["xmax"] is None:
-        v["xmax"] = 1.1 * ct
+        v["xmax"] = half
     grid_cfg = RunConfig(cfg.command, v)
     measure = point_source_solution(v["kind"], t, medium, grid_cfg.grid())
     breakdown = measure.mass_breakdown()

@@ -109,9 +109,10 @@ def _cubic_weights(r):
 def sample_shifted(f: SampledField, offset: float) -> np.ndarray:
     """Values of f at every grid point shifted by a common offset.
 
-    Returns f(x_i + offset) for i = 0..n-1, cubic interpolation inside the
-    grid, zero outside.  An offset that is an exact multiple of dx reduces
-    to an index shift with no arithmetic on the values.
+    Returns f(x_i + offset) for i = 0..n-1: the cubic interpolant of the
+    values extended by zero, so points 2 or more cells off the grid read 0.
+    An offset that is an exact multiple of dx reduces to an index shift with
+    no arithmetic on the values.
     """
     if not math.isfinite(offset):
         raise DomainError(f"shift must be finite, got {offset!r}")
@@ -134,31 +135,26 @@ def sample_shifted(f: SampledField, offset: float) -> np.ndarray:
         hi = min(n, n - shift)
         if lo < hi:
             out[lo:hi] += w * v[lo + shift:hi + shift]
-    # the shifted point itself must lie inside the grid, not just its stencil
-    first_inside = max(0, math.ceil(-pos))
-    last_inside = min(n - 1, math.floor(n - 1 - pos))
-    out[:first_inside] = 0.0
-    out[max(0, last_inside + 1):] = 0.0
     return out
 
 
 def sample_at(f: SampledField, xq) -> np.ndarray:
-    """Values of f at arbitrary query points (cubic inside, zero outside)."""
+    """Values of f at arbitrary query points: the cubic interpolant of the
+    values extended by zero, 0 from 2 cells off the grid on."""
     xq = np.asarray(xq, dtype=float)
     if not np.all(np.isfinite(xq)):
         raise DomainError("query points must be finite")
     g = f.grid
-    # points past a grid end by over one cell read 0 either way; clipped, no overflow
-    pos = (np.clip(xq, g.x0 - g.dx, g.x_end + g.dx) - g.x0) / g.dx
-    valid = (pos >= 0.0) & (pos <= g.n - 1)
-    idx = np.floor(np.where(valid, pos, 0.0)).astype(np.int64)
+    # points 2 or more cells off the grid read 0 either way; clipped, no overflow
+    pos = (np.clip(xq, g.x0 - 2 * g.dx, g.x_end + 2 * g.dx) - g.x0) / g.dx
+    # idx in [-3, n + 1]: the stencil idx - 1..idx + 2 reads padded[idx + 3..idx + 6]
+    idx = np.clip(np.floor(pos), -3, g.n + 1).astype(np.int64)
     r = pos - idx
-    padded = np.zeros(g.n + 6)
-    padded[3:3 + g.n] = f.values
+    padded = np.zeros(g.n + 8)
+    padded[4:4 + g.n] = f.values
     l0, l1, l2, l3 = _cubic_weights(r)
-    out = (l0 * padded[idx + 2] + l1 * padded[idx + 3]
-           + l2 * padded[idx + 4] + l3 * padded[idx + 5])
-    return np.where(valid, out, 0.0)
+    return (l0 * padded[idx + 3] + l1 * padded[idx + 4]
+            + l2 * padded[idx + 5] + l3 * padded[idx + 6])
 
 
 def _fold(g: SpaceGrid, offsets: np.ndarray, weights: np.ndarray,
@@ -171,41 +167,32 @@ def _fold(g: SpaceGrid, offsets: np.ndarray, weights: np.ndarray,
     points) up to roundoff.  Each node's weight times its 4 cubic-Lagrange
     weights is summed onto whole grid offsets; apply is one direct correlation
     (not FFT, so points the stencil never reaches stay exactly zero) of the
-    zero-extended values.
-
-    Edge rule, as in ``sample_shifted``: a node whose sampled point is off the
-    grid adds 0, even where its stencil still touches it.  Zero extension alone
-    would leak f[0], f[1], f[n-2] and f[n-1] into points up to 2 cells off the
-    grid; that leak is kept as one block per grid end, which apply subtracts
-    as one product with the field's two end values.
+    values extended by zero.
     """
     n = g.n
     out = g if out_grid is None else out_grid
     w = np.atleast_2d(np.asarray(weights, dtype=float))
     rows = w.shape[0]
     # an out_grid from ``SpaceGrid.extended`` lies a whole number of cells off
-    # g; keep it whole, or roundoff in x0 can put g's own end points off g
+    # g; keep it whole, or roundoff in x0 would give its points fractional weights
     shift = (out.x0 - g.x0) / g.dx
     if abs(shift - round(shift)) * g.dx <= 1e-15 * (abs(out.x0) + abs(g.x0)):
         shift = float(round(shift))
     r = shift - np.asarray(offsets, dtype=float) / g.dx
     s = np.floor(r)
-    # whether row n-1-s_j samples past the right end, rounded as sample_shifted does
-    past_end = ((n - 1) - r) < ((n - 1) - s)
     r -= s
     s = s.astype(np.int64)
     s_lo = int(s.min())
     s -= s_lo
     # folded[:, k, q] sums weights[:, j] * L_k(r_j) over the nodes with
-    # s_j = s_lo + q, for the stencil offsets k - 1 = -1..2; k = 4 is k = 1 over
-    # the past_end nodes only.  Blocks of nodes keep the temporaries small.
+    # s_j = s_lo + q, for the stencil offsets k - 1 = -1..2.  Blocks of nodes
+    # keep the temporaries small.
     n_s = int(s.max()) + 1
-    bins = np.arange(rows * 5)[:, None] * n_s
-    folded = np.zeros((rows, 5, n_s))
+    bins = np.arange(rows * 4)[:, None] * n_s
+    folded = np.zeros((rows, 4, n_s))
     for b in range(0, s.size, _FOLD_BLOCK):
         blk = slice(b, b + _FOLD_BLOCK)
-        lag = _cubic_weights(r[blk])
-        lag = np.array(lag + (lag[1] * past_end[blk],))
+        lag = np.array(_cubic_weights(r[blk]))
         folded += np.bincount((bins + s[blk]).ravel(), weights=(w[:, None, blk] * lag).ravel(),
                               minlength=folded.size).reshape(folded.shape)
 
@@ -215,20 +202,6 @@ def _fold(g: SpaceGrid, offsets: np.ndarray, weights: np.ndarray,
     # taps outside [1 - out.n, n - 1] never meet a grid value; hi < lo: none does
     lo = max(s_lo - 1, 1 - out.n)
     hi = max(lo - 1, min(s_lo + n_s + 1, n - 1))
-
-    # row i sees node j off the grid when i + s_j is -2, -1 (left block: f[0],
-    # f[1] leak in) or n - 1 with past_end, n (right block: f[n-2], f[n-1]);
-    # column m of a block is output row base + m
-    fr = folded[:, :, ::-1]
-    blocks = np.zeros((2, rows, 2, n_s + 1))
-    blocks[0, :, :, 1:] = fr[:, 2:4]
-    blocks[0, :, 0, :-1] += fr[:, 3]
-    blocks[1, :, :, :-1] = fr[:, [0, 4]]
-    blocks[1, :, 1, 1:] += fr[:, 0]
-    ends = []
-    for blk, base in zip(blocks, (-1 - s_lo - n_s, n - s_lo - n_s)):
-        m_lo = max(0, -base)  # keep the output rows in [0, out.n)
-        ends.append((base + m_lo, blk[:, :, m_lo:max(m_lo, out.n - base)]))
     stencils = stencils[:, lo - s_lo + 1:hi - s_lo + 2]
 
     def apply(v: np.ndarray, row: int = 0) -> np.ndarray:
@@ -238,10 +211,7 @@ def _fold(g: SpaceGrid, offsets: np.ndarray, weights: np.ndarray,
         padded = np.zeros(out.n + stencil.size - 1)  # padded[p] = v[lo + p], 0 off grid
         first, stop = max(0, lo), min(n, lo + padded.size)
         padded[first - lo:stop - lo] = v[first:stop]
-        result = np.correlate(padded, stencil, "valid")
-        for v_end, (start, blk) in zip((v[:2], v[-2:]), ends):
-            result[start:start + blk.shape[2]] -= v_end @ blk[row]
-        return result
+        return np.correlate(padded, stencil, "valid")
 
     return apply
 

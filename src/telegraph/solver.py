@@ -16,7 +16,7 @@ I1(w)/w), so no singular treatment is required.  ``_cone_stencils`` sizes
 and builds every K and K_t window, the Duhamel oracle's too, with the
 d'Alembert term as K_t's atoms of weight 1/2 on the end nodes, and folds
 them with cubic interpolation into one stencil pair per solve time for
-every field (``fields._fold`` has the edge rule: off-grid nodes add 0).
+every field (``fields._fold``; the fields are extended by zero).
 
 Point data at the origin need no quadrature: ``point_source_solution``
 gives each kind's atoms and density in closed form.

@@ -304,6 +304,9 @@ _CORNERS = [
     ("delta --kind financial", 0),
     # c t = 1e-400 underflows; the dipole factor is formed in units of a power of two near c
     ("delta --kind financial --k 1 --c 1e-300 --t 1e-100 --xmin -4 --xmax 4 --n 129", 0),
+    # c t = 1e-400 and 1e-320: the default grid keeps a normal spacing
+    ("delta --c 1e-300 --t 1e-100", 0),
+    ("delta --t 1e-320", 0),
     ("validate --suite fd --dx 0.0078125", 0),
     ("validate --suite all", 0),
     # each suite sizes itself from k, c and t, and the Duhamel residual is on u's scale

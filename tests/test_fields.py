@@ -62,9 +62,12 @@ class TestInterpolation:
         assert abs(got - poly(xq)) < 1e-10 * (1 + abs(poly(xq)))
 
     def test_zero_outside_grid(self):
+        # the values are extended by zero: half a cell off either end the
+        # interpolant of 0, 0, 1, 1 reads 1/2, and from 2 cells off it reads 0
         g = tg.SpaceGrid(0.0, 1.0, 5)
         f = tg.SampledField(g, np.ones(5))
-        assert np.array_equal(fields.sample_at(f, [-0.5, 4.5, 100.0]), [0.0, 0.0, 0.0])
+        got = fields.sample_at(f, [-0.5, 4.5, -2.0, 6.0, 100.0])
+        assert np.array_equal(got, [0.5, 0.5, 0.0, 0.0, 0.0])
 
     @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
     def test_non_finite_point_rejected(self, bad):
@@ -102,19 +105,16 @@ class TestInterpolation:
     @example(offset=4.375)  # 17.5 cells: past the grid, stencil still on f[16]
     @settings(max_examples=50)
     def test_shifted_matches_pointwise(self, offset):
-        # points within a ULP of the grid edge may classify as inside or
-        # outside depending on arithmetic order; compare away from the edge
         g = tg.SpaceGrid(-2.0, 0.25, 17)
         f = tg.from_function(g, lambda x: np.sin(1.3 * x))
         xq = f.x + offset
-        interior = (xq > g.x0 + 1e-9) & (xq < g.x_end - 1e-9)
-        exterior = (xq < g.x0 - 1e-9) | (xq > g.x_end + 1e-9)
+        # 2 or more cells off the grid, with room for the roundoff in xq
+        far = (xq < g.x0 - 2 * g.dx - 1e-12) | (xq > g.x_end + 2 * g.dx + 1e-12)
         shifted = fields.sample_shifted(f, offset)
         pointwise = fields.sample_at(f, xq)
-        assert np.allclose(shifted[interior], pointwise[interior],
-                           rtol=0, atol=1e-14)
-        assert np.all(shifted[exterior] == 0.0)
-        assert np.all(pointwise[exterior] == 0.0)
+        assert np.allclose(shifted, pointwise, rtol=0, atol=1e-14)
+        assert np.all(shifted[far] == 0.0)
+        assert np.all(pointwise[far] == 0.0)
 
     @pytest.mark.parametrize("offset", [math.nan, math.inf, -math.inf])
     def test_non_finite_shift_rejected(self, offset):

@@ -52,7 +52,7 @@ class TestEvolve:
     @pytest.mark.parametrize("k", [0.0, 1.0, 20.0, 200.0])
     @pytest.mark.parametrize("t", [0.0, 1e-9, 0.37, 2.5])
     def test_shared_stencils_match_solve_and_velocity(self, k, t):
-        # data nonzero at both grid ends exercise the stencils' edge rule
+        # data nonzero at both grid ends exercise the stencils' zero extension
         grid = tg.SpaceGrid(-4.0, 1.0 / 16, 129)
         x = grid.points()
         f = tg.SampledField(grid, 1.0 + 0.5 * np.cos(x))

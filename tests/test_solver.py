@@ -1,4 +1,5 @@
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -397,9 +398,9 @@ class TestConvolveMeasure:
 
 
 # Cone windows that reach past the grid, on data nonzero at both grid ends.
-# Edge rule: a Simpson node whose sampled point lies off the grid adds 0,
-# even where its 4-point stencil still touches the grid.  The references
-# are node-by-node sums of sample_shifted / sample_at.
+# The data are extended by zero: a Simpson node reads the cubic interpolant
+# of the zero-extended values, which reaches 2 cells past either grid end.
+# The references are node-by-node sums of sample_shifted / sample_at.
 EDGE_GRID = tg.SpaceGrid(-4.0, 1.0 / 8, 65)
 EDGE_MEDIUM = tg.MediumParams(k=1.5, c=1.0)
 
@@ -486,9 +487,61 @@ class TestConeEdgeRule:
             got = tg.convolve_measure(m, t, EDGE_MEDIUM, which, out_grid=out_grid)
             assert_matches_reference(got.density.values, reference)
 
+    def test_fold_matches_sample_at_node_loop(self):
+        # random grids with non-dyadic dx, node offsets of which 30% are whole
+        # cells (so sampled points land on grid ends up to roundoff), and out
+        # grids a whole or fractional number of cells off
+        rng = np.random.default_rng(17)
+        for _ in range(500):
+            n = int(rng.integers(2, 41))
+            grid = tg.SpaceGrid(rng.uniform(-3.0, 3.0), rng.uniform(0.01, 0.5), n)
+            cells = rng.uniform(-(n + 4), n + 4, int(rng.integers(1, 30)))
+            whole = rng.random(cells.size) < 0.3
+            cells[whole] = np.round(cells[whole])
+            offsets = cells * grid.dx
+            out = None
+            if rng.random() < 0.7:
+                shift = int(rng.integers(-3, 4)) + (rng.random() < 0.5) * rng.random()
+                out = tg.SpaceGrid(grid.x0 + shift * grid.dx, grid.dx, int(rng.integers(2, 41)))
+            weights = rng.standard_normal((2, cells.size))
+            f = tg.SampledField(grid, rng.standard_normal(n))
+            x = (grid if out is None else out).points()
+            apply = fields._fold(grid, offsets, weights, out)
+            for row, w in enumerate(weights):
+                reference = sum(w_j * fields.sample_at(f, x - off)
+                                for w_j, off in zip(w, offsets))
+                bound = 1e-13 * np.sum(np.abs(w)) * np.max(np.abs(f.values))
+                assert np.max(np.abs(apply(f.values, row) - reference)) <= bound
+
+    @pytest.mark.parametrize("which", ["kernel", "kernel_dt"])
+    def test_convolve_measure_matches_exact_node_loop(self, which):
+        # dx = 0.01 is inexact in binary, so nodes land on the grid ends up to
+        # roundoff; the reference puts node j at its exact cell offset
+        # q_j = -o_j/dx from every output point, the output grid being the density's
+        grid = tg.SpaceGrid(-1.0, 0.01, 201)
+        v = 1.0 + 0.5 * np.cos(grid.points())
+        m = tg.MixedMeasure(atoms=(), density=tg.SampledField(grid, v), support=(-1.0, 1.0))
+        for t in (0.73, 1.3, 1.7):
+            offsets, weights, ft_w, f0_w = cone_nodes(t, EDGE_MEDIUM, grid.dx)
+            node_w = weights * (ft_w if which == "kernel_dt" else f0_w)
+            if which == "kernel_dt":
+                node_w[[0, -1]] += 0.5
+            pad = grid.n + 3  # padded[pad + i] = v[i], 0 off the grid
+            padded = np.zeros(grid.n + 2 * pad)
+            padded[pad:pad + grid.n] = v
+            reference = np.zeros(grid.n)
+            for off, w in zip(offsets, node_w):
+                q = -Fraction(off) / Fraction(grid.dx)
+                s = math.floor(q)
+                for m_k, l_k in zip((-1, 0, 1, 2), fields._cubic_weights(float(q - s))):
+                    start = pad + s + m_k
+                    reference += w * l_k * padded[start:start + grid.n]
+            got = tg.convolve_measure(m, t, EDGE_MEDIUM, which, out_grid=grid).density.values
+            assert np.max(np.abs(got - reference)) <= 1e-13 * np.max(np.abs(v))
+
     def test_zero_time_derivative_kernel_is_the_identity(self):
         # -1 - 2 * 0.01 rounds, yet the default out_grid lies whole cells off
-        # the density grid, so both of the density's end points stay on it
+        # the density grid, so no point picks up fractional cubic weights
         grid = tg.SpaceGrid(-1.0, 0.01, 201)
         dens = tg.SampledField(grid, 1.0 + 0.5 * np.cos(grid.points()))
         m = tg.MixedMeasure(atoms=(), density=dens, support=(-1.5, 1.5))
