@@ -18,7 +18,7 @@ from typing import Optional
 import numpy as np
 
 from .errors import DomainError, UsageError
-from .fields import SampledField, SpaceGrid, from_function, zeros
+from .fields import SampledField, SpaceGrid, _is_count, from_function, zeros
 from .kernel import MediumParams, _check_time, fundamental_solution, time_derivative_regular
 from .oracles import (DuhamelConfig, ValidationReport, binned_tv_distance,
                       duhamel_residual, expected_never_flip, fd_config_for,
@@ -37,14 +37,19 @@ class RunConfig:
     def medium(self) -> MediumParams:
         return MediumParams(k=self.values["k"], c=self.values["c"])
 
+    def points(self) -> int:
+        """--n, checked before any float arithmetic on it can overflow."""
+        n = self.values["n"]
+        if not _is_count(n, 2):
+            raise UsageError(f"grid needs an integer 2 to 2^53 points, got n = {n}")
+        return n
+
     def grid(self) -> SpaceGrid:
         xmin = self.values["xmin"]
         xmax = self.values["xmax"]
-        n = self.values["n"]
+        n = self.points()
         if xmax <= xmin:
             raise UsageError(f"xmax ({xmax}) must exceed xmin ({xmin})")
-        if n < 2:
-            raise UsageError(f"grid needs at least 2 points, got n = {n}")
         return SpaceGrid(x0=xmin, dx=(xmax - xmin) / (n - 1), n=n)
 
 
@@ -155,7 +160,7 @@ def cmd_delta(cfg: RunConfig) -> tuple[dict, bool]:
         raise DomainError(f"point-source solutions need t > 0, got {t}")
     v = dict(cfg.values)
     # the default half-width keeps the spacing a normal number however small c t is
-    half = max(1.1 * (medium.c * t), math.ldexp(v["n"] - 1, -1023))
+    half = max(1.1 * (medium.c * t), math.ldexp(cfg.points() - 1, -1023))
     if v["xmin"] is None:
         v["xmin"] = -half
     if v["xmax"] is None:

@@ -15,7 +15,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from .errors import DomainError, UsageError
-from .quadrature import MASS_PANELS, composite_simpson
+from .quadrature import MASS_NODES, gauss_legendre
 
 
 def _is_count(n, least: int) -> bool:
@@ -285,12 +285,17 @@ class MixedMeasure:
         return float(sum(w for _, w in self.atoms))
 
     def density_mass(self) -> float:
-        """MASS_PANELS-panel Simpson of density_fn if given, else trapezoid of the samples."""
+        """MASS_NODES-node Gauss-Legendre of density_fn if given, else trapezoid of the samples.
+
+        The point laws' density_fn is analytic on the closed support, since
+        I0(z) and I1(z)/z are even in z and so functions of c^2 t^2 - x^2;
+        the rule converges geometrically on it (``quadrature.MASS_NODES``).
+        """
         lo, hi = self.support
         if hi <= lo:
             return 0.0
         if self.density_fn is not None:
-            return composite_simpson(self.density_fn, lo, hi, MASS_PANELS)
+            return gauss_legendre(self.density_fn, lo, hi, MASS_NODES)
         if self.density is None:
             return 0.0
         # fall back to the stored samples over their grid

@@ -322,6 +322,9 @@ _CORNERS = [
     ("validate --suite fd --c 1e300 --t 1e8", 2),
     ("validate --suite duhamel --k 1e300 --t 1e10 --c 1e-20", 2),
     ("kernel --n 10000000000000000000", 2),
+    # an --n past float64's range: its grid spacing and delta's default half-width
+    # would overflow converting it to a float
+    *((f"{command} --n 1{'0' * 400}", 2) for command in ("kernel", "solve", "delta")),
     # the growth-compensated kernel leaves float64 at k|t| = 1820 and 3000
     ("kernel --t -1.3 --k 1400", 2),
     ("delta --k 3000 --t 1", 2),

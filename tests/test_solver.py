@@ -322,6 +322,22 @@ class TestPointDataRows:
         got = meas.density.values
         assert np.all(np.abs(got - ref_samples) <= 1e-14 * np.abs(ref_samples))
 
+    @pytest.mark.parametrize("kind", solver.DELTA_KINDS)
+    @pytest.mark.parametrize("kt", [0.005, 0.1, 1.0, 20.0, 200.0, 1400.0])
+    @pytest.mark.parametrize("c", [0.5, 1.0, 2.0])
+    def test_mass_is_the_closed_form(self, kind, kt, c):
+        # mass a + b (1 - e^{-kt})/k, of which the atoms carry a e^{-kt/2}
+        t = 1.3
+        medium = tg.MediumParams(k=kt / t, c=c)
+        ct = c * t
+        grid = tg.SpaceGrid(-1.25 * ct, ct / 32, 81)
+        a, b, _ = solver._POINT_DATA[kind]
+        growth = -math.expm1(-kt) / medium.k
+        bd = tg.point_source_solution(kind, t, medium, grid).mass_breakdown()
+        assert bd.density == pytest.approx(-a * math.expm1(-0.5 * kt) + b * growth,
+                                           rel=1e-13, abs=0.0)
+        assert bd.total == pytest.approx(a + b * growth, rel=1e-13, abs=0.0)
+
 
 class TestConvolveMeasure:
     def test_atom_with_kernel_dt_is_decomposition(self, medium, grid_coarse):
