@@ -9,7 +9,6 @@ cross-check every route, and a batch CLI exposes kernels, solutions,
 measures and validation suites as CSV/JSON tables.
 """
 
-from .bessel import i0, i1, i1_over_z
 from .errors import DomainError, UsageError
 from .fields import (MassBreakdown, MixedMeasure, SampledField, SpaceGrid,
                      from_function, l2_norm, derivative_x, zeros)
@@ -30,9 +29,8 @@ __all__ = [
     "StatePair", "UsageError", "ValidationReport", "WalkConfig",
     "binned_tv_distance", "convolve_measure", "derivative_x",
     "duhamel_residual", "expected_never_flip", "fd_config_for", "fd_solve",
-    "from_function", "fundamental_solution", "i0", "i1",
-    "i1_over_z", "l2_norm", "norm_report", "point_source_solution",
-    "rel_l2_error", "simulate_walk", "solve",
+    "from_function", "fundamental_solution", "l2_norm", "norm_report",
+    "point_source_solution", "rel_l2_error", "simulate_walk", "solve",
     "solve_rescaled", "time_derivative_regular", "evolve", "velocity",
     "walk_config_for", "zeros",
 ]

@@ -9,21 +9,19 @@ expansion's smallest): it adds terms until the last is at most 1e-16 of the
 sum.  The expansion diverges, but its smallest term is about e^{-2z} of the
 sum, so from z = 20 up its terms fall below 1e-16 of the sum before they grow.
 
-``i1_over_z`` evaluates I1(z)/z through its own even series
-1/2 + z^2/16 + z^4/384 + ..., so z = 0 never involves a division.  All
-functions are pure.  Each scalar function is its array evaluator on one
-element: it validates its argument and raises ``DomainError`` past the
-float64 range.  Array entry points assume their arguments valid.
+``i1_over_z_array`` evaluates I1(z)/z through its own even series
+1/2 + z^2/16 + z^4/384 + ..., so z = 0 never involves a division.  The three
+array evaluators are the API; they are pure and take valid (finite,
+nonnegative) arguments unchecked.  Accuracy is ~5e-15 relative up to
+SERIES_SWITCH and ~1e-13 beyond, set by the roundoff of e^z.  Past z ~ 713.9
+a value is inf, on which the kernel layer raises ``DomainError``.
 """
 
 from __future__ import annotations
 
-import math
 from itertools import accumulate
 
 import numpy as np
-
-from .errors import DomainError
 
 #: Regime switch point: power series at or below, asymptotic expansion above.
 SERIES_SWITCH = 20.0
@@ -33,15 +31,6 @@ SERIES_SWITCH = 20.0
 SERIES_CAP = 200
 
 _REL_STOP = 1e-16
-
-
-def _check_arg(z: float) -> float:
-    z = float(z)
-    if not math.isfinite(z):
-        raise DomainError(f"argument must be finite, got {z!r}")
-    if z < 0.0:
-        raise DomainError(f"argument must be nonnegative, got {z!r}")
-    return z
 
 
 # ---------------------------------------------------------------------------
@@ -92,46 +81,7 @@ def _horner(x: np.ndarray, table: tuple, n: int) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# scalar API
-# ---------------------------------------------------------------------------
-
-def _scalar(array_fn, z: float, name: str) -> float:
-    z = _check_arg(z)
-    with np.errstate(over="ignore"):  # an overflow shows as inf, raised below
-        value = float(array_fn(np.array([z]))[0])
-    if not math.isfinite(value):
-        raise DomainError(f"{name} exceeds the float64 range at z = {z!r}")
-    return value
-
-
-def i0(z: float) -> float:
-    """Modified Bessel function of the first kind, order zero.
-
-    Raises DomainError for z beyond ~713.9, where I0 itself exceeds the
-    float64 range; accuracy is ~5e-15 relative up to SERIES_SWITCH and
-    ~1e-13 beyond, where the roundoff of e^z sets it.
-    """
-    return _scalar(i0_array, z, "I0")
-
-
-def i1(z: float) -> float:
-    """Modified Bessel function of the first kind, order one (= I0').
-
-    Raises DomainError where I1 exceeds the float64 range (z beyond ~713.9).
-    """
-    return _scalar(i1_array, z, "I1")
-
-
-def i1_over_z(z: float) -> float:
-    """I1(z)/z, continuous through z = 0 where it equals 1/2.
-
-    Raises DomainError where I1 itself exceeds the float64 range.
-    """
-    return _scalar(i1_over_z_array, z, "I1(z)/z")
-
-
-# ---------------------------------------------------------------------------
-# array API (no per-element validation; used by the quadrature loops)
+# array API (no per-entry validation; the kernel layer raises DomainError)
 # ---------------------------------------------------------------------------
 
 def _regimes(z, order: int, over_z: bool = False) -> np.ndarray:

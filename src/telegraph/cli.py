@@ -111,13 +111,19 @@ def _file_data(path: Optional[str]) -> tuple[SampledField, SampledField]:
 # commands
 # ---------------------------------------------------------------------------
 
+def _cone_radius(medium: MediumParams, t: float) -> float:
+    """c t for a finite time t, whose cone edges -+ct must lie in float64."""
+    ct = medium.c * _check_time(t)
+    if not math.isfinite(ct):
+        raise DomainError(f"cone radius c|t| = {medium.c} * {abs(t)} exceeds float64")
+    return ct
+
+
 def cmd_kernel(cfg: RunConfig) -> tuple[dict, bool]:
     medium = cfg.medium()
     grid = cfg.grid()
     t = cfg.values["t"]
-    ct = medium.c * t
-    if not math.isfinite(ct):  # the atoms ride the cone edges -+ct
-        raise DomainError(f"cone radius c|t| = {medium.c} * {abs(t)} exceeds float64")
+    ct = _cone_radius(medium, t)  # the atoms ride the cone edges -+ct
     x = grid.points()
     psi_vals = np.atleast_1d(fundamental_solution(x, t, medium))
     dt_vals = np.atleast_1d(time_derivative_regular(x, t, medium))
@@ -156,11 +162,12 @@ def cmd_solve(cfg: RunConfig) -> tuple[dict, bool]:
 def cmd_delta(cfg: RunConfig) -> tuple[dict, bool]:
     medium = cfg.medium()
     t = cfg.values["t"]
-    if not t > 0:  # before the default grid, which is derived from ct
+    ct = _cone_radius(medium, t)  # before the default grid, which is derived from ct
+    if not t > 0:
         raise DomainError(f"point-source solutions need t > 0, got {t}")
     v = dict(cfg.values)
     # the default half-width keeps the spacing a normal number however small c t is
-    half = max(1.1 * (medium.c * t), math.ldexp(cfg.points() - 1, -1023))
+    half = max(1.1 * ct, math.ldexp(cfg.points() - 1, -1023))
     if v["xmin"] is None:
         v["xmin"] = -half
     if v["xmax"] is None:

@@ -51,25 +51,19 @@ def simpson_pattern(n_sub: int) -> np.ndarray:
     return pattern
 
 
-def simpson_nodes_weights(a: float, b: float, n_sub: int) -> tuple[np.ndarray, np.ndarray]:
-    """Nodes and weights of composite Simpson on [a, b] with n_sub subintervals."""
-    pattern = simpson_pattern(n_sub)
-    h = (b - a) / n_sub
-    nodes = a + h * np.arange(n_sub + 1)
-    nodes[-1] = b
-    return nodes, pattern * (h / 3.0)
-
-
 def composite_simpson(fn, a: float, b: float, n_sub: int) -> float:
-    """Integrate a vectorized callable over [a, b].
+    """Integrate a vectorized callable over [a, b] with n_sub subintervals.
 
     Summation goes through numpy's pairwise reduction, not BLAS, so the
     result never depends on how many threads the backend was given.
     """
     if b <= a:
         return 0.0
-    nodes, weights = simpson_nodes_weights(a, b, n_sub)
-    return float(np.sum(weights * np.asarray(fn(nodes), dtype=float)))
+    pattern = simpson_pattern(n_sub)  # rejects a bad n_sub before it divides
+    h = (b - a) / n_sub
+    nodes = a + h * np.arange(n_sub + 1)
+    nodes[-1] = b
+    return float(np.sum(pattern * (h / 3.0) * np.asarray(fn(nodes), dtype=float)))
 
 
 @functools.cache

@@ -405,6 +405,12 @@ class TestOutOfDomainInput:
         (["delta", "--t", "0"], "t > 0"),
         (["solve", "--f-width", "0"], "--f-width"),
         (["solve", "--g-width", "0", "--g-amp", "1"], "--g-width"),
+        # a time that is not finite is named before any cone or grid is built from it
+        (["kernel", "--t", "nan"], "error: time must be finite, got nan"),
+        (["delta", "--t", "inf"], "error: time must be finite, got inf"),
+        (["solve", "--t", "nan"], "error: time must be finite, got nan"),
+        (["delta", "--kind", "financial", "--c", "1e300", "--t", "1e10"],
+         "error: cone radius c|t| = 1e+300 * 10000000000.0 exceeds float64"),
     ])
     def test_error_names_the_bad_input(self, capsys, argv, message):
         code, out, err = run_cli(argv, capsys)
@@ -485,3 +491,14 @@ class TestConfigHandling:
         with pytest.raises(SystemExit) as exc:
             main(argv)
         assert exc.value.code == 2
+
+
+def test_cold_import_leaves_numpy_polynomial_out():
+    # importing numpy.polynomial would cost every cold CLI process about 4 ms; the
+    # Gauss-Legendre rule of the point-law mass loads it on first use instead
+    env = {**os.environ, "PYTHONPATH": str(Path(telegraph.__file__).resolve().parents[1])}
+    code = "import sys, telegraph, telegraph.cli; print('numpy.polynomial' in sys.modules)"
+    proc = subprocess.run([sys.executable, "-c", code], env=env,
+                          capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "False\n"

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 import telegraph as tg
 from telegraph import fields, kernel, oracles, solver
 from telegraph.bessel import i0_array, i1_over_z_array
-from telegraph.quadrature import panel_count, simpson_nodes_weights, simpson_pattern
+from telegraph.quadrature import panel_count, simpson_pattern
 
 from _fourier_oracle import gaussian_field, gaussian_velocity
 from conftest import gaussian
@@ -309,7 +309,7 @@ class TestPointDataRows:
         # grid points at -ct, 0 and (up to roundoff) +ct, where samples are 0
         grid = tg.SpaceGrid(-2.0 * ct, ct / 64, 257)
         meas = tg.point_source_solution(kind, t, medium, grid)
-        nodes, _ = simpson_nodes_weights(-ct, ct, 4096)
+        nodes = np.linspace(-ct, ct, 4097)
         ref_atoms, ref_nodes = kind_reference(kind, nodes, t, medium)
         assert meas.atoms == ref_atoms
         assert meas.probabilistic == (kind != "delta_velocity")
@@ -658,3 +658,44 @@ class TestStructuralProperties:
         v = tg.solve_rescaled(f, g, t, medium)
         assert np.allclose(u.values, math.exp(-0.5 * medium.k * t) * v.values,
                            rtol=1e-15, atol=1e-300)
+
+
+def moment_defect(k, c, t, n):
+    """max_j |M_j - ref_j| / max(1, |ref_j|), j = 0, 1, 2, where M_j is the trapezoid
+    moment of x^j u(x, t) on [-12, 12] and ref_j its closed form in the data's own
+    trapezoid moments F_j, G_j: M0 and M1 solve M'' + k M' = 0, M2'' + k M2' = 2c^2 M0."""
+    medium = tg.MediumParams(k=k, c=c)
+    grid = tg.SpaceGrid(-12.0, 24.0 / (n - 1), n)
+    f = gaussian(grid)
+    g = gaussian(grid, center=0.2, amp=0.5)
+    x = grid.points()
+    u = tg.solve(f, g, t, medium)
+    (M0, M1, M2), (F0, F1, F2), (G0, G1, G2) = (
+        [np.trapezoid(x ** j * v, x) for j in range(3)] for v in (u.values, f.values, g.values))
+    if k == 0.0:
+        s = t
+        ref2 = F2 + G2 * t + c * c * (F0 * t * t + G0 * t ** 3 / 3.0)
+    else:
+        # M0 = A + B e^{-kt}; M2' = 2c^2 (A/k + B t e^{-kt}) + (G2 - 2c^2 A/k) e^{-kt}
+        s = -math.expm1(-k * t) / k
+        a, b = F0 + G0 / k, -G0 / k
+        tau_integral = (1.0 - math.exp(-k * t) * (1.0 + k * t)) / (k * k)
+        ref2 = (F2 + 2 * c * c * (a * t / k + b * tau_integral)
+                + (G2 - 2 * c * c * a / k) * s)
+    return max(abs(m - ref) / max(1.0, abs(ref))
+               for m, ref in ((M0, F0 + G0 * s), (M1, F1 + G1 * s), (M2, ref2)))
+
+
+class TestMomentIdentities:
+    # the weak form's polynomial test functions phi = x^j: O(n), no kernel or Bessel
+    # function in the reference; the defect falls about 16x per halving of dx
+    CASES = [(1.0, 1.0, 1.0), (1.0, 1.0, -1.0), (4.0, 0.7, 2.0), (20.0, 1.0, 0.5),
+             (0.0, 1.0, 1.0), (200.0, 1.0, 1.0)]
+
+    @pytest.mark.parametrize("k,c,t", CASES)
+    def test_moments_are_the_closed_forms(self, k, c, t):
+        assert moment_defect(k, c, t, 2049) <= (1e-14 if k == 0.0 else 1e-10)
+
+    @pytest.mark.parametrize("k,c,t", [case for case in CASES if case[0] not in (0.0, 200.0)])
+    def test_defect_converges(self, k, c, t):
+        assert moment_defect(k, c, t, 1025) >= 10.0 * moment_defect(k, c, t, 2049)
