@@ -111,10 +111,10 @@ def _file_data(path: Optional[str]) -> tuple[SampledField, SampledField]:
 # commands
 # ---------------------------------------------------------------------------
 
-def _cone_radius(medium: MediumParams, t: float) -> float:
-    """c t for a finite time t, whose cone edges -+ct must lie in float64."""
+def _cone_radius(medium: MediumParams, t: float, span: float = 1.0) -> float:
+    """c t for a finite time t, whose cone edges -+ct and span * c t must lie in float64."""
     ct = medium.c * _check_time(t)
-    if not math.isfinite(ct):
+    if not math.isfinite(span * ct):
         raise DomainError(f"cone radius c|t| = {medium.c} * {abs(t)} exceeds float64")
     return ct
 
@@ -162,7 +162,8 @@ def cmd_solve(cfg: RunConfig) -> tuple[dict, bool]:
 def cmd_delta(cfg: RunConfig) -> tuple[dict, bool]:
     medium = cfg.medium()
     t = cfg.values["t"]
-    ct = _cone_radius(medium, t)  # before the default grid, which is derived from ct
+    default_grid = None in (cfg.values["xmin"], cfg.values["xmax"])
+    ct = _cone_radius(medium, t, 2.2 if default_grid else 1.0)  # that grid spans 2.2 c t
     if not t > 0:
         raise DomainError(f"point-source solutions need t > 0, got {t}")
     v = dict(cfg.values)

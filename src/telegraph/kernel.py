@@ -17,7 +17,7 @@ points, point-data rows included, and at ``solver._cone_stencils``' nodes.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -30,11 +30,10 @@ CONE_EPS = 1e-12
 
 @dataclass(frozen=True)
 class MediumParams:
-    """Damping rate k (1/time), wave speed c (length/time), alpha = k/(4c)."""
+    """Damping rate k (1/time) and wave speed c (length/time); kernels write alpha = k/(4c)."""
 
     k: float
     c: float
-    alpha: float = field(init=False)
 
     def __post_init__(self):
         if not (math.isfinite(self.k) and math.isfinite(self.c)):
@@ -43,7 +42,6 @@ class MediumParams:
             raise DomainError(f"wave speed must be positive, got {self.c}")
         if self.k < 0:
             raise DomainError(f"damping rate must be nonnegative, got {self.k}")
-        object.__setattr__(self, "alpha", self.k / (4.0 * self.c))
 
 
 def _check_time(t: float) -> float:

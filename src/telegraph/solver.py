@@ -95,6 +95,16 @@ def solve_rescaled(f: SampledField, g: SampledField, t: float, medium: MediumPar
     return SampledField(grid, vals)
 
 
+def _damped(grid: SpaceGrid, rescaled: list, t: float, medium: MediumParams) -> list:
+    """e^{-kt/2} v on grid per rescaled v; DomainError first where t < 0 makes u leave float64."""
+    exponent = -0.5 * medium.k * t
+    if exponent > 0.0 and not (exponent <= math.log(np.finfo(float).max) and all(
+            math.isfinite(math.exp(exponent) * float(np.max(np.abs(v)))) for v in rescaled)):
+        raise DomainError(f"u(., {t}) overflows float64, e^(-kt/2) = e^{exponent:g}")
+    damp = math.exp(exponent)
+    return [SampledField(grid, damp * v) for v in rescaled]
+
+
 def _half_grid_estimate(fn, f, g, t: float, medium: MediumParams, fine) -> float:
     """max|fine - fn on the 2dx grid of every other point| / 15, ``solve``'s estimate."""
     if f.grid.n < 3:
@@ -114,23 +124,14 @@ def solve(f: SampledField, g: SampledField, t: float, medium: MediumParams,
     the last point dropped for even n; it grows for data nonzero near a grid end, or rough.
     """
     t = _check_time(t)
-    exponent = -0.5 * medium.k * t
-    if exponent > math.log(np.finfo(float).max):
-        raise DomainError(f"e^(-kt/2) = e^{exponent:g} overflows float64 at t = {t}")
-    damp = math.exp(exponent)
-    v = solve_rescaled(f, g, t, medium)
-    if exponent > 0.0 and not math.isfinite(damp * float(np.max(np.abs(v.values)))):
-        raise DomainError(f"u(., {t}) overflows float64, e^(-kt/2) = e^{exponent:g}")
-    u = SampledField(v.grid, damp * v.values)
+    u, = _damped(f.grid, [solve_rescaled(f, g, t, medium).values], t, medium)
     return (u, _half_grid_estimate(solve, f, g, t, medium, u)) if error_estimate else u
 
 
 def _solve_shared(pairs, t: float, medium: MediumParams) -> list:
-    """``solve`` of each data pair (f, g) at t >= 0, all from one stencil pair."""
+    """``solve`` of each data pair (f, g), all from one stencil pair."""
     t = _check_time(t)
-    damp = math.exp(-0.5 * medium.k * t)
-    vals = _rescaled_values(pairs, t, medium)
-    return [SampledField(pairs[0][0].grid, damp * v) for v in vals]
+    return _damped(pairs[0][0].grid, _rescaled_values(pairs, t, medium), t, medium)
 
 
 def _velocity_data(f: SampledField, g: SampledField, medium: MediumParams) -> SampledField:

@@ -295,6 +295,8 @@ _CORNERS = [
     ("kernel --k 0 --t 1e300 --n 5", 0),
     # x^2 overflows on the default grid, which reaches |x| = 1.1e300
     ("delta --k 0 --t 1e300", 0),
+    # the default grid's span 2.2 c t = 1.76e308 is still finite
+    ("delta --k 0 --t 8e307 --n 5", 0),
     # c^2 t^2 underflows; lam is formed in units of a power of two near c
     ("kernel --k 1 --c 1e-300 --t 0.37 --n 5", 0),
     # c^2 t^2 overflows, the Bessel argument k t/2 = 500 does not
@@ -411,6 +413,9 @@ class TestOutOfDomainInput:
         (["solve", "--t", "nan"], "error: time must be finite, got nan"),
         (["delta", "--kind", "financial", "--c", "1e300", "--t", "1e10"],
          "error: cone radius c|t| = 1e+300 * 10000000000.0 exceeds float64"),
+        # a finite c t whose default grid, 2.2 c t wide, is past float64
+        *((["delta", "--k", "0", "--t", t, "--n", "5"], "error: cone radius")
+          for t in ("9e307", "1e308", "1.5e308", "1.7e308")),
     ])
     def test_error_names_the_bad_input(self, capsys, argv, message):
         code, out, err = run_cli(argv, capsys)

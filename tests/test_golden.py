@@ -1,4 +1,4 @@
-"""The CLI documents in tests/golden/, byte for byte.
+"""The CLI and library documents in tests/golden/, byte for byte.
 
 ``tests/golden/regen.py`` made them and recorded its numpy and BLAS in
 ``platform.json``.  ``np.correlate`` may take a CPU-specific dot path, so on
@@ -12,7 +12,7 @@ import struct
 
 import pytest
 
-from golden.regen import CASES, HERE, platform_record, write_case
+from golden.regen import CASES, HERE, LIBRARY, platform_record, write_case
 
 _NUMBER = re.compile(r"[-+]?(?:\d+\.?\d*|\.\d+)(?:[eE][-+]?\d+)?|nan|inf")
 
@@ -32,7 +32,7 @@ def _ulp_report(recorded: str, running: str) -> str:
     return f"largest distance {worst} ulp over {len(old)} numbers"
 
 
-@pytest.mark.parametrize("name", list(CASES))
+@pytest.mark.parametrize("name", [*CASES, *LIBRARY])
 def test_document_is_byte_identical(name, tmp_path):
     assert write_case(name, tmp_path) == 0
     recorded = (HERE / name).read_bytes()

@@ -15,8 +15,11 @@ from _series_oracle import i0_series_reference
 
 class TestMediumParams:
     def test_alpha_is_quarter_k_over_c(self):
+        # alpha = k/(4c) is notation only: psi(0, t) = I0(2 alpha c t)/(2c)
         m = tg.MediumParams(k=3.0, c=1.5)
-        assert m.alpha == 3.0 / (4.0 * 1.5)
+        alpha = 3.0 / (4.0 * 1.5)
+        expected = i0_array(np.array([2.0 * alpha * 1.5 * 1.0]))[0] / (2.0 * 1.5)
+        assert math.isclose(tg.fundamental_solution(0.0, 1.0, m), expected, rel_tol=1e-15)
 
     @pytest.mark.parametrize("k,c", [(1.0, 0.0), (1.0, -1.0), (-0.5, 1.0),
                                      (math.nan, 1.0), (1.0, math.inf)])

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -26,10 +27,6 @@ class TestEvolve:
         assert np.array_equal(out.u.values, state.u.values)
         assert np.max(np.abs(out.ut.values - state.ut.values)) < 1e-9
 
-    def test_one_sided(self, medium, state):
-        with pytest.raises(tg.UsageError):
-            tg.evolve(-0.1, state, medium)
-
     def test_undamped_displacement_is_dalembert(self, grid_fine):
         m = tg.MediumParams(k=0.0, c=1.0)
         state = tg.StatePair(gaussian(grid_fine), tg.zeros(grid_fine))
@@ -50,7 +47,7 @@ class TestEvolve:
         assert tg.rel_l2_error(composed.ut, whole.ut, window) < 1e-5
 
     @pytest.mark.parametrize("k", [0.0, 1.0, 20.0, 200.0])
-    @pytest.mark.parametrize("t", [0.0, 1e-9, 0.37, 2.5])
+    @pytest.mark.parametrize("t", [0.0, 1e-9, 0.37, 2.5, -0.37, -2.5])
     def test_shared_stencils_match_solve_and_velocity(self, k, t):
         # data nonzero at both grid ends exercise the stencils' zero extension
         grid = tg.SpaceGrid(-4.0, 1.0 / 16, 129)
@@ -62,6 +59,43 @@ class TestEvolve:
         for got, ref in ((out.u, tg.solve(f, g, t, medium)),
                          (out.ut, tg.velocity(f, g, t, medium))):
             assert np.max(np.abs(got.values - ref.values)) <= 1e-13 * np.max(np.abs(ref.values))
+
+
+def round_trip_error(k, t, n):
+    """max|evolve(-t, evolve(t, s0)) - s0| on |x| < 4 for u and for u_t, with
+    s0 = (e^{-x^2}, 0.5 e^{-(x-0.2)^2}) at n points on [-12, 12], c = 1."""
+    grid = tg.SpaceGrid(-12.0, 24.0 / (n - 1), n)
+    state = tg.StatePair(gaussian(grid), gaussian(grid, center=0.2, amp=0.5))
+    medium = tg.MediumParams(k=k, c=1.0)
+    back = tg.evolve(-t, tg.evolve(t, state, medium), medium)
+    inner = np.abs(grid.points()) < 4.0
+    return np.array([np.max(np.abs(got.values - ref.values)[inner])
+                     for got, ref in ((back.u, state.u), (back.ut, state.ut))])
+
+
+class TestBackwardEvolution:
+    @pytest.mark.parametrize("k,t", [(0.0, 1.0), (1.0, 1.0), (4.0, 2.0)])
+    def test_round_trip_converges(self, k, t):
+        # the forward O(dx^4) error, about 16x smaller per halving of dx
+        coarse, fine = round_trip_error(k, t, 1025), round_trip_error(k, t, 2049)
+        assert np.all(coarse <= 1e-6)
+        assert np.all(fine <= coarse / 10.0)
+
+    @pytest.mark.parametrize("t", [0.5, 1.0, 2.0])
+    def test_backward_step_amplifies_by_e_to_the_k_t(self, t):
+        # S(-t) amplifies the fast-decaying mode by about e^{k|t|}: the round trip's
+        # error over e^{k|t|} stays in a band while the error itself grows 1e12-fold
+        scaled = round_trip_error(20.0, t, 1025) / math.exp(20.0 * t)
+        assert np.all((3e-11 <= scaled) & (scaled <= 3e-9))
+
+    @pytest.mark.parametrize("t", [-1.0, -2.0])
+    def test_past_float64_raises_without_warning(self, state, t):
+        # k|t| = 1400: e^{700} times the growth-compensated field of size e^{700};
+        # k|t| = 2800: the kernel itself
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(tg.DomainError):
+                tg.evolve(t, state, tg.MediumParams(k=1400.0, c=1.0))
 
 
 class TestNormReport:
@@ -77,12 +111,15 @@ class TestNormReport:
         assert rows[0].envelope == 1.0
         assert abs(rows[1].envelope - math.exp(-0.5)) < 1e-15
 
-    def test_times_must_ascend(self, medium, grid_coarse):
-        state = tg.StatePair(tg.zeros(grid_coarse), tg.zeros(grid_coarse))
-        with pytest.raises(tg.UsageError):
-            tg.norm_report(state, medium, [1.0, 0.5])
-        with pytest.raises(tg.UsageError):
-            tg.norm_report(state, medium, [-1.0, 0.5])
+    def test_rows_follow_the_given_times(self, medium, grid_coarse):
+        state = tg.StatePair(gaussian(grid_coarse), gaussian(grid_coarse, 0.2, amp=0.5))
+        times = [1.0, -0.5, 0.0, 0.25, -1.0]
+        rows = tg.norm_report(state, medium, times)
+        assert [row.t for row in rows] == times
+        for row in rows:
+            out = tg.evolve(row.t, state, medium)
+            assert (row.u_l2, row.ut_l2, row.ux_l2) == (
+                tg.l2_norm(out.u), tg.l2_norm(out.ut), tg.l2_norm(tg.derivative_x(out.u)))
 
     def test_moderate_damping_ratios_stay_bounded(self):
         # No exponential envelope holds (low modes decay at a rate -> 0 as

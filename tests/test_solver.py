@@ -267,7 +267,8 @@ class TestPointSource:
 # The three kinds' atoms and densities as closed forms written out per kind:
 # the reference for the row formula of point_source_solution.
 def kind_reference(kind, x, t, medium):
-    k, c, alpha = medium.k, medium.c, medium.alpha
+    k, c = medium.k, medium.c
+    alpha = k / (4.0 * c)
     ct = c * t
     damp = math.exp(-0.5 * k * t)
     if kind == "delta_position":
