@@ -6,8 +6,12 @@ Evaluation is two-regime: the ascending power series in q = z^2/4 (DLMF
 array is summed by Horner with one term count for every entry, found by a
 term loop on the entry that converges last (the series' largest z, the
 expansion's smallest): it adds terms until the last is at most 1e-16 of the
-sum.  The expansion diverges, but its smallest term is about e^{-2z} of the
-sum, so from z = 20 up its terms fall below 1e-16 of the sum before they grow.
+sum.  ``_regimes`` also takes ``runs``, the start index of each run of
+entries (``kernel._cone_values`` passes one run per solve time): each run
+takes its own term counts, so a run's values are bitwise those of the run
+alone.  The expansion diverges, but its smallest term is about e^{-2z} of
+the sum, so from z = 20 up its terms fall below 1e-16 of the sum before
+they grow.
 
 ``i1_over_z_array`` evaluates I1(z)/z through its own even series
 1/2 + z^2/16 + z^4/384 + ..., so z = 0 never involves a division.  The three
@@ -71,8 +75,15 @@ _Q_TABLES, _W_TABLES = (
                  lambda c, k, n: c * ((2 * k - 1) ** 2 - 4 * n) / (8.0 * k)))
 
 
-def _horner(x: np.ndarray, table: tuple, n: int) -> np.ndarray:
-    """table[0] + table[1] x + ... + table[n] x^n, two in-place passes per term."""
+def _horner(x: np.ndarray, table: tuple, n) -> np.ndarray:
+    """table[0] + table[1] x + ... + table[n] x^n, two in-place passes per term;
+    n is one count or one per entry."""
+    if isinstance(n, np.ndarray):
+        s = np.empty_like(x)
+        for m in set(n.tolist()):  # not np.unique, which imports numpy.ma
+            each = n == m
+            s[each] = _horner(x[each], table, m)
+        return s
     s = np.full_like(x, table[n])
     for c in table[n - 1::-1]:
         s *= x
@@ -84,20 +95,41 @@ def _horner(x: np.ndarray, table: tuple, n: int) -> np.ndarray:
 # array API (no per-entry validation; the kernel layer raises DomainError)
 # ---------------------------------------------------------------------------
 
-def _regimes(z, order: int, over_z: bool = False) -> np.ndarray:
+def _terms(picked: np.ndarray, z: np.ndarray, part: np.ndarray, runs, reduce, count, *args):
+    """Term count of the entries picked = z[part]: count(e, *args) of the reduce e (by
+    np.maximum or np.fmin) of each run's entries in part; one int where all agree."""
+    if len(runs) == 1:
+        return count(float(reduce.reduce(picked)), *args)
+    extreme = reduce.reduceat(np.where(part, z, -np.inf if reduce is np.maximum else np.inf),
+                              runs)
+    held = np.add.reduceat(part, runs)
+    counts = [count(float(e), *args) if h else 0 for e, h in zip(extreme, held)]
+    distinct = {n for n, h in zip(counts, held) if h}
+    return distinct.pop() if len(distinct) == 1 else np.repeat(counts, held)
+
+
+def _series_values(zs: np.ndarray, z: np.ndarray, small: np.ndarray, order: int,
+                   over_z: bool, runs) -> np.ndarray:
+    """The power series at the arguments zs = z[small]."""
+    n = _terms(zs, z, small, runs, np.maximum, _series, order, over_z)
+    s = _horner(0.25 * zs * zs, _Q_TABLES[order], n)
+    return s * (0.5 if over_z else 0.5 * zs) if order else s
+
+
+def _regimes(z, order: int, over_z: bool = False, runs=(0,)) -> np.ndarray:
     """Series at or below SERIES_SWITCH, asymptotic expansion above (nan stays nan)."""
     z = np.asarray(z, dtype=float)
-    out = np.empty_like(z)
     small = z <= SERIES_SWITCH
+    if small.all():  # every argument takes the series: no masks
+        return _series_values(z, z, small, order, over_z, runs) if z.size else np.empty_like(z)
+    out = np.empty_like(z)
     if small.any():
-        zs = z[small]
-        s = _horner(0.25 * zs * zs, _Q_TABLES[order], _series(float(zs.max()), order, over_z))
-        out[small] = s * (0.5 if over_z else 0.5 * zs) if order else s
-    if not small.all():
-        zl = z[~small]
-        s = _horner(1.0 / zl, _W_TABLES[order], _expansion(float(np.fmin.reduce(zl)), order))
-        s *= np.exp(zl - 0.5 * np.log(2.0 * np.pi * zl))
-        out[~small] = s / zl if over_z else s
+        out[small] = _series_values(z[small], z, small, order, over_z, runs)
+    large = ~small
+    zl = z[large]
+    s = _horner(1.0 / zl, _W_TABLES[order], _terms(zl, z, large, runs, np.fmin, _expansion, order))
+    s *= np.exp(zl - 0.5 * np.log(2.0 * np.pi * zl))
+    out[large] = s / zl if over_z else s
     return out
 
 

@@ -91,19 +91,23 @@ def zeros(grid: SpaceGrid) -> SampledField:
     return SampledField(grid, np.zeros(grid.n))
 
 
-#: Nodes folded per block in ``_fold``; bounds its temporaries.
+#: Nodes folded per bincount in ``_fold`` and, in whole times unless one time
+#: has more, built per chunk by ``solver._cone_stencils``; bounds their temporaries.
 _FOLD_BLOCK = 1024
 
 
 def _cubic_weights(r):
-    # Lagrange basis on stencil offsets (-1, 0, 1, 2) at r in [0, 1], float or array
+    # Lagrange basis on stencil offsets (-1, 0, 1, 2) at r in [0, 1], float or array:
+    # -r (r - 1)(r - 2)/6, (r + 1)(r - 1)(r - 2)/2, -r (r + 1)(r - 2)/2, r (r + 1)(r - 1)/6,
+    # each product taken left to right, the signs moved onto the exact divisors
     rm1 = r - 1.0
     rm2 = r - 2.0
     rp1 = r + 1.0
-    return (-r * rm1 * rm2 / 6.0,
+    r_rp1 = r * rp1
+    return (r * rm1 * rm2 / -6.0,
             rp1 * rm1 * rm2 / 2.0,
-            -r * rp1 * rm2 / 2.0,
-            r * rp1 * rm1 / 6.0)
+            r_rp1 * rm2 / -2.0,
+            r_rp1 * rm1 / 6.0)
 
 
 def sample_shifted(f: SampledField, offset: float) -> np.ndarray:
@@ -157,55 +161,82 @@ def sample_at(f: SampledField, xq) -> np.ndarray:
             + l2 * padded[idx + 5] + l3 * padded[idx + 6])
 
 
-def _fold(g: SpaceGrid, offsets: np.ndarray, weights: np.ndarray,
-          out_grid: Optional[SpaceGrid] = None) -> Callable[..., np.ndarray]:
-    """Cone-window sums of weight rows on shared offsets, folded for data on g.
+def _fold_chunks(sizes) -> list:
+    """Index ranges [i, j) of consecutive times, node counts sizes, for ``_fold``
+    calls: whole times of at most _FOLD_BLOCK nodes in all, or one longer time."""
+    chunks, total = [], _FOLD_BLOCK + 1
+    for i, size in enumerate(sizes):
+        if total + size > _FOLD_BLOCK:
+            chunks.append([i, i + 1])
+            total = size
+        else:
+            chunks[-1][1] = i + 1
+            total += size
+    return chunks
 
-    Returns apply(v, row=0) = sum_j weights[row, j] f(x_i - offsets[j]) at the
-    points x_i of out_grid (default g, same spacing), f having values v on g:
-    the node loop of ``sample_shifted(f, -offsets[j])`` (``sample_at`` off g's
-    points) up to roundoff.  Each node's weight times its 4 cubic-Lagrange
-    weights is summed onto whole grid offsets; apply is one direct correlation
-    (not FFT, so points the stencil never reaches stay exactly zero) of the
-    values extended by zero.
+
+def _fold(g: SpaceGrid, offsets: np.ndarray, weights: np.ndarray,
+          out_grid: Optional[SpaceGrid] = None, sizes=None) -> Callable[..., np.ndarray]:
+    """Cone-window sums of weight rows, folded for data on g, for node sets of several times.
+
+    offsets holds the node sets of consecutive times, sizes[i] nodes for time i
+    (default: one time), and weights one row per kernel over all of them.  Returns
+    apply(v, row=0) = sum_j weights[q, j] f(x_i - offsets[j]) over the nodes j of time
+    row // q_rows, q = row % q_rows, at the points x_i of out_grid (default g, same
+    spacing), f having values v on g: the node loop of ``sample_shifted(f, -offsets[j])``
+    (``sample_at`` off g's points) up to roundoff.  Each node's weight times its 4
+    cubic-Lagrange weights is summed onto whole grid offsets of its own time by one
+    bincount per _FOLD_BLOCK nodes, so a time's stencil is bitwise the one it gets
+    folded alone when the times come in chunks of whole times and at most _FOLD_BLOCK
+    nodes, or alone.  apply is one direct correlation (not FFT, so points the stencil
+    never reaches stay exactly zero) of the values extended by zero.
     """
     n = g.n
     out = g if out_grid is None else out_grid
     w = np.atleast_2d(np.asarray(weights, dtype=float))
     rows = w.shape[0]
+    offsets = np.asarray(offsets, dtype=float)
+    sizes = np.array([offsets.size] if sizes is None else sizes)
     # an out_grid from ``SpaceGrid.extended`` lies a whole number of cells off
     # g; keep it whole, or roundoff in x0 would give its points fractional weights
     shift = (out.x0 - g.x0) / g.dx
     if abs(shift - round(shift)) * g.dx <= 1e-15 * (abs(out.x0) + abs(g.x0)):
         shift = float(round(shift))
-    r = shift - np.asarray(offsets, dtype=float) / g.dx
+    r = shift - offsets / g.dx
     s = np.floor(r)
     r -= s
     s = s.astype(np.int64)
-    s_lo = int(s.min())
-    s -= s_lo
-    # folded[:, k, q] sums weights[:, j] * L_k(r_j) over the nodes with
-    # s_j = s_lo + q, for the stencil offsets k - 1 = -1..2.  Blocks of nodes
-    # keep the temporaries small.
-    n_s = int(s.max()) + 1
-    bins = np.arange(rows * 4)[:, None] * n_s
-    folded = np.zeros((rows, 4, n_s))
+    # time i's stencil spans whole offsets s_lo[i] - 1 .. s_lo[i] + width[i] - 2 and
+    # lies at columns base[i] .. base[i] + width[i] - 1 of the rows of ``stencils``;
+    # lane 4 q + k adds weights[q, j] * L_k(r_j) at column col_j + k, k - 1 = -1..2
+    starts = np.add.accumulate(sizes) - sizes
+    s_lo = np.minimum.reduceat(s, starts)
+    width = np.maximum.reduceat(s, starts) - s_lo + 4
+    base = np.add.accumulate(width) - width
+    col = s + np.repeat(base - s_lo, sizes)
+    size = int(base[-1] + width[-1])
+    lanes = np.arange(rows * 4)[:, None]
+    lanes = lanes * size + lanes % 4
+    folded = None
     for b in range(0, s.size, _FOLD_BLOCK):
         blk = slice(b, b + _FOLD_BLOCK)
         lag = np.array(_cubic_weights(r[blk]))
-        folded += np.bincount((bins + s[blk]).ravel(), weights=(w[:, None, blk] * lag).ravel(),
-                              minlength=folded.size).reshape(folded.shape)
+        block = np.bincount((lanes + col[blk]).ravel(), weights=(w[:, None, blk] * lag).ravel(),
+                            minlength=rows * 4 * size)
+        folded = block if folded is None else folded + block
+    # the four lags of a column in order k = 0..3
+    stencils = np.add.reduce(folded.reshape(rows, 4, size), axis=1)
 
-    stencils = np.zeros((rows, n_s + 3))
-    for k in range(4):
-        stencils[:, k:k + n_s] += folded[:, k]
-    # taps outside [1 - out.n, n - 1] never meet a grid value; hi < lo: none does
-    lo = max(s_lo - 1, 1 - out.n)
-    hi = max(lo - 1, min(s_lo + n_s + 1, n - 1))
-    stencils = stencils[:, lo - s_lo + 1:hi - s_lo + 2]
+    taps = []  # (first tap's grid offset, stencil) per row
+    for s0, size, first in zip(s_lo.tolist(), width.tolist(), base.tolist()):
+        # taps outside [1 - out.n, n - 1] never meet a grid value; hi < lo: none does
+        lo = max(s0 - 1, 1 - out.n)
+        hi = max(lo - 1, min(s0 + size - 2, n - 1))
+        first += lo - s0 + 1
+        taps += [(lo, stencils[q, first:first + hi - lo + 1]) for q in range(rows)]
 
     def apply(v: np.ndarray, row: int = 0) -> np.ndarray:
-        stencil = stencils[row]
+        lo, stencil = taps[row]
         if stencil.size == 0:
             return np.zeros(out.n)
         padded = np.zeros(out.n + stencil.size - 1)  # padded[p] = v[lo + p], 0 off grid

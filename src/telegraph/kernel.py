@@ -11,7 +11,8 @@ odd in t, even in x, equal to sgn(t)/(2c) on the characteristics.  Its
 time derivative splits into two Dirac atoms of weight 1/2 riding the
 cone boundary (at x = -ct and x = +ct) plus a bounded density inside.
 One evaluator, ``_cone_values``, computes both for all real times: at
-points, point-data rows included, and at ``solver._cone_stencils``' nodes.
+points, point-data rows included, and at ``solver._cone_stencils``' nodes,
+those of many times in one call.
 """
 
 from __future__ import annotations
@@ -75,48 +76,69 @@ def _masks(x: np.ndarray, t: float, c: float):
     return np.abs(gap) <= tol, gap > tol
 
 
-def _cone_values(x: np.ndarray, t: float, medium: MediumParams,
-                 w_psi: float, w_reg: float, w_dip: float, edge=None) -> np.ndarray:
-    """w_psi psi + w_reg psi_t,reg + w_dip c psi_x at points x of the closed cone.
+def _cone_values(x: np.ndarray, t, medium: MediumParams, rows, edge=None) -> list:
+    """w_psi psi + w_reg psi_t,reg + w_dip c psi_x at points x of the closed cone, per row
+    (w_psi, w_reg, w_dip) of rows.
 
-    lam = (c t)^2 - x^2 is formed here, in units of ``_length_unit(c)``^2 and
+    t is one time or one per point; each run of points with one time takes its
+    own Bessel term counts, so its values are bitwise those of the run alone.
+    lam = (c t)^2 - x^2 is formed once, in units of ``_length_unit(c)``^2 and
     clipped at 0, with sqrt(lam) as sqrt(c|t| - |x|) sqrt(c|t| + |x|) where
     (c t)^2 is past float64's normal range [2^-1022, 2^1024).  psi takes its edge
-    value sgn(t)/(2c) on the points of the mask edge; psi_t,reg keeps each point's
-    own lam.  c psi_x is -(x/(ct)) psi_t,reg, its edge atoms the caller's.  Their
-    factor k^2 |t|/(8c) is m 2^e from the mantissas and exponents of k, |t| and c;
-    m meets I1(z)/z and (w_reg ct - w_dip x)/ct, ct in units of u, before 2^e, so
-    no step leaves float64 before the value does.  No term costs a Bessel
-    evaluation at k = 0 or at zero weight (the result is the scalar 0.0 if no
-    term remains); a value past float64 raises DomainError.
+    value sgn(t)/(2c) on the points of the mask edge (t one time); psi_t,reg keeps
+    each point's own lam.  c psi_x is -(x/(ct)) psi_t,reg, its edge atoms the
+    caller's.  Their factor k^2 |t|/(8c) is m 2^e from the mantissas and exponents
+    of k, |t| and c; m meets I1(z)/z and (w_reg ct - w_dip x)/ct, ct in units of u,
+    before 2^e, so no step leaves float64 before the value does.  Each Bessel family
+    is evaluated once for all rows, and not at all at k = 0 or at zero weight (a
+    row is the scalar 0.0 if no term remains); a value past float64 raises DomainError.
     """
     free = medium.k == 0.0  # I0 = 1 and psi_t,reg = 0: no argument, even where lam = inf
-    out = 0.0
+    any_psi = any(w_psi != 0.0 for w_psi, _, _ in rows)
+    any_reg = not free and any(w_reg != 0.0 or w_dip != 0.0 for _, w_reg, w_dip in rows)
     u = _length_unit(medium.c)
-    radius = medium.c / u * abs(t)
+    if not isinstance(t, np.ndarray):
+        t_abs = t_low = t_high = abs(t)
+        sign = math.copysign(1.0, t) if t != 0.0 else 0.0
+        (mt, et), runs = math.frexp(t_abs), (0,)
+    else:  # runs of points with one time, each with its own Bessel term counts
+        t_abs = np.abs(t)
+        t_low, t_high = t_abs.min(), t_abs.max()
+        sign, (mt, et) = np.sign(t), np.frexp(t_abs)
+        runs = np.flatnonzero(np.concatenate(([True], t[1:] != t[:-1])))
+    out = []
     with np.errstate(over="ignore", invalid="ignore"):
-        if not free:
+        radius = medium.c / u * t_abs
+        if any_reg or (any_psi and not free):
             # 2 alpha sqrt(c^2 t^2 - x^2) = k/(2 c/u) * sqrt(lam), lam in units of u^2
             r = np.abs(x) / u
-            if 2.0 ** -1022 <= radius * radius < math.inf:
-                root = np.sqrt(np.maximum(radius * radius - r * r, 0.0))
-            else:
-                root = np.sqrt(np.maximum(radius - r, 0.0)) * np.sqrt(radius + r)
+            square = radius * radius
+            root = np.sqrt(np.maximum(square - r * r, 0.0))
+            low, high = medium.c / u * t_low, medium.c / u * t_high  # square is monotone in |t|
+            if not (2.0 ** -1022 <= low * low and high * high < math.inf):
+                root = np.where((2.0 ** -1022 <= square) & (square < math.inf), root,
+                                np.sqrt(np.maximum(radius - r, 0.0)) * np.sqrt(radius + r))
             arg = 0.5 * medium.k / (medium.c / u) * root
-        if w_psi != 0.0:
-            edge_value = (math.copysign(1.0, t) if t != 0.0 else 0.0) / (2.0 * medium.c)
-            out = edge_value * (np.ones(np.shape(x)) if free else bessel.i0_array(arg))
+        if any_psi:
+            edge_value = sign / (2.0 * medium.c)
+            psi = edge_value * (np.ones(np.shape(x)) if free
+                                else bessel._regimes(arg, 0, False, runs))
             if edge is not None:
-                out[edge] = edge_value
-            out *= w_psi
-        if (w_reg != 0.0 or w_dip != 0.0) and not free:
-            (mk, ek), (mt, et), (mc, ec) = (math.frexp(v) for v in (medium.k, abs(t), medium.c))
-            reg = mk * mk * mt / mc * bessel.i1_over_z_array(arg)
-            ct = math.copysign(radius, t)
-            reg *= (w_reg * ct - w_dip * (x / u)) / ct if w_dip != 0.0 else w_reg
-            out += np.ldexp(reg, 2 * ek + et - ec - 3)
-    if not np.isfinite(out).all():
-        raise DomainError(f"kernel values exceed float64 at k|t| = {medium.k * abs(t):g}")
+                psi[edge] = edge_value
+        if any_reg:
+            (mk, ek), (mc, ec) = (math.frexp(v) for v in (medium.k, medium.c))
+            i1z = mk * mk * mt / mc * bessel._regimes(arg, 1, True, runs)
+            ct = np.copysign(radius, t)
+        for w_psi, w_reg, w_dip in rows:  # a weight 1 multiplies exactly: skipped
+            value = 0.0 if w_psi == 0.0 else psi if w_psi == 1.0 else psi * w_psi
+            if (w_reg != 0.0 or w_dip != 0.0) and not free:
+                reg = (i1z * ((w_reg * ct - w_dip * (x / u)) / ct) if w_dip != 0.0
+                       else i1z if w_reg == 1.0 else i1z * w_reg)
+                value = value + np.ldexp(reg, 2 * ek + et - ec - 3)
+            out.append(value)
+    if not all(np.isfinite(value).all() for value in out):
+        raise DomainError(f"kernel values exceed float64 at k|t| = "
+                          f"{medium.k * float(t_high):g}")
     return out
 
 
@@ -131,8 +153,8 @@ def _cone_combination(x, t: float, medium: MediumParams, w_psi: float, w_reg: fl
     boundary, inside = _masks(x, t, medium.c)
     supported = boundary | inside
     out = np.zeros_like(x)
-    out[supported] = _cone_values(x[supported], t, medium, w_psi, w_reg, w_dip,
-                                  boundary[supported])
+    out[supported], = _cone_values(x[supported], t, medium, [(w_psi, w_reg, w_dip)],
+                                   boundary[supported])
     return float(out[0]) if scalar else out
 
 

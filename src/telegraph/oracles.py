@@ -1,8 +1,8 @@
 """Verification engines for the convolution solver.
 
 Three routes besides the closed-form path; the first two share no code
-with it, the Duhamel residual calls ``solve_rescaled`` and the solver's
-cone stencils:
+with it, the Duhamel residual solves through the solver's cone stencils
+and builds its windows with them:
 
 * an explicit second-order leapfrog discretization of the damped wave
   equation (CFL-limited, zero-Dirichlet ends, causally isolated);
@@ -25,7 +25,7 @@ from .errors import UsageError
 from .fields import MixedMeasure, SampledField, SpaceGrid, _is_count, _require_shared_grid
 from .kernel import MediumParams, _check_time
 from .quadrature import integrate_bins, simpson_pattern
-from .solver import _cone_stencils, _rescaled_values, solve_rescaled
+from .solver import _TIME_CHUNK, _cone_stencils, _rescaled_values
 
 #: Walkers per RNG block; each block draws from its own Philox stream
 #: derived from (seed, block index), so results are reproducible and
@@ -284,11 +284,16 @@ def duhamel_residual(f: SampledField, g: SampledField, t: float,
     difference from ``solve_rescaled`` (v at the slab times is the solver's
     own) measures self-consistency; at k = 0 it is 0 by construction.
     Evaluated at every grid point whose full dependency cone fits inside
-    the grid.  One dict passed as ``cache`` to the levels
-    of a refinement keeps their solves and windows, keyed by slab
-    times rounded to 14 digits; the value is bitwise the same with or
-    without it.  The first call binds the dict to its (f, g, t, medium), and
-    a later call with other ones (f and g by identity) raises UsageError.
+    the grid.  The slabs go in chunks of ``solver._TIME_CHUNK`` (32): each
+    chunk solves its slab times in one stencil build and forms their windows
+    K0(t-s) * v(s) in another, adds them to the integral in slab order and
+    drops them.  One
+    dict passed as ``cache`` to the levels of a refinement keeps their windows,
+    keyed by the exact fraction m/n_slabs of t at slab m in lowest terms, while
+    s = m (t/n_slabs); the value is bitwise the same with or without it where
+    the levels' slab counts differ by powers of two.  The first call binds the
+    dict to its (f, g, t, medium), and a later call with other ones (f and g by
+    identity) raises UsageError.
     """
     grid = _require_shared_grid(f, g)
     if _check_time(t) <= 0:
@@ -299,34 +304,40 @@ def duhamel_residual(f: SampledField, g: SampledField, t: float,
     if not valid.any():
         raise UsageError("dependency cone exceeds the grid at every point")
 
-    cache = {} if cache is None else cache  # no key repeats within one call
+    keep = cache is not None
+    cache = {} if cache is None else cache
     bf, bg, bt, bm = cache.setdefault("inputs", (f, g, t, medium))
     if not (bf is f and bg is g and bt == t and bm == medium):
         raise UsageError("cache holds the residual of other data, time or medium")
 
-    def cached(key, compute):
-        if key not in cache:
-            cache[key] = compute()
-        return cache[key]
-
-    def v_at(s: float) -> SampledField:
-        return cached(("v", round(s, 14)), lambda: solve_rescaled(f, g, s, medium))
-
-    lhs = v_at(t).values
     free = MediumParams(k=0.0, c=medium.c)
-    geff = SampledField(grid, g.values + 0.5 * medium.k * f.values)
-    rhs = cached("data", lambda: _rescaled_values([(f, geff)], t, free)[0])
+    if "data" not in cache:
+        geff = SampledField(grid, g.values + 0.5 * medium.k * f.values)
+        (cache["data"],), = _rescaled_values([(f, geff)], [t], free)
 
-    ds = t / cfg.n_slabs
-    outer = simpson_pattern(cfg.n_slabs) * (ds / 3.0)
+    n = cfg.n_slabs
+    ds = t / n
+    outer = simpson_pattern(n) * (ds / 3.0)
     source = np.zeros(grid.n)
-    for m in range(cfg.n_slabs):  # the s = t node has a collapsed window
-        s = m * ds
-        source += outer[m] * cached(("window", round(s, 14)), lambda: _cone_stencils(
-            grid, t - s, free, ("kernel",))(v_at(s).values))
-    rhs = rhs + (medium.k ** 2 / 4.0) * source
+    for first in range(0, n, _TIME_CHUNK):  # the s = t node has a collapsed window
+        slabs = [(m, ("window", m // math.gcd(m, n), n // math.gcd(m, n)))
+                 for m in range(first, min(first + _TIME_CHUNK, n))]
+        todo = [(m, key) for m, key in slabs if key not in cache]
+        times = [m * ds for m, _ in todo] + ([] if "lhs" in cache else [t])
+        solved = [vals for (vals,) in _rescaled_values([(f, g)], times, medium)] if times else []
+        if "lhs" not in cache:
+            cache["lhs"] = solved.pop()
+        windows = {}
+        if todo:
+            apply = _cone_stencils(grid, [t - m * ds for m, _ in todo], free, ("kernel",))
+            windows = {key: apply(v, i) for i, ((_, key), v) in enumerate(zip(todo, solved))}
+        for m, key in slabs:
+            source += outer[m] * (windows[key] if key in windows else cache[key])
+        if keep:
+            cache.update(windows)
+    rhs = cache["data"] + (medium.k ** 2 / 4.0) * source
 
-    return float(np.max(np.abs(lhs[valid] - rhs[valid])))
+    return float(np.max(np.abs(cache["lhs"][valid] - rhs[valid])))
 
 
 # ---------------------------------------------------------------------------

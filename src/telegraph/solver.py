@@ -16,7 +16,9 @@ I1(w)/w), so no singular treatment is required.  ``_cone_stencils`` sizes
 and builds every K and K_t window, the Duhamel oracle's too, with the
 d'Alembert term as K_t's atoms of weight 1/2 on the end nodes, and folds
 them with cubic interpolation into one stencil pair per solve time for
-every field (``fields._fold``; the fields are extended by zero).
+every field (``fields._fold``; the fields are extended by zero).  It takes
+many solve times at once and builds them in chunks, each time's stencils
+bitwise those it gets alone.
 
 Point data at the origin need no quadrature: ``point_source_solution``
 gives each kind's atoms and density in closed form.
@@ -30,8 +32,8 @@ from typing import Optional
 import numpy as np
 
 from .errors import DomainError, UsageError
-from .fields import (MixedMeasure, SampledField, SpaceGrid, _fold, _outside_support,
-                     _require_shared_grid)
+from .fields import (MixedMeasure, SampledField, SpaceGrid, _fold, _fold_chunks,
+                     _outside_support, _require_shared_grid)
 from .kernel import MediumParams, _check_time, _cone_combination, _cone_values, _masks
 from .quadrature import panel_count
 
@@ -43,55 +45,101 @@ _POINT_DATA = {
 }
 DELTA_KINDS = tuple(_POINT_DATA)
 
+#: Solve times built, and held, at once by a caller of many: the Duhamel
+#: oracle's slabs, ``norm_report``'s times.
+_TIME_CHUNK = 32
 
-def _cone_stencils(grid: SpaceGrid, t: float, medium: MediumParams,
+#: ``_cone_values`` weights (w_psi, w_reg, w_dip) of each kernel a window applies.
+_KERNEL_TERMS = {"kernel": (1.0, 0.0, 0.0), "kernel_dt": (0.0, 1.0, 0.0)}
+
+
+def _cone_stencils(grid: SpaceGrid, times, medium: MediumParams,
                    kernels=("kernel_dt", "kernel"), out_grid: Optional[SpaceGrid] = None):
-    """Simpson windows over |y| <= c|t| of the named kernels, folded for data on grid.
+    """Simpson windows over |y| <= c|t| of the named kernels at each time, folded for data on grid.
 
     "kernel" is K = psi; "kernel_dt" is K_t, psi_t,reg plus atoms of weight
     1/2 on the end nodes -+ c|t| that carry the d'Alembert term (at t = 0
-    every Simpson weight is 0 and they sum to a delta).  The window has
+    every Simpson weight is 0 and they sum to a delta).  A window has
     ``panel_count(2 c|t|, grid.dx)`` panels.  Nodes y whose points x - y lie
     over 3 cells off the grid for every x of out_grid add 0 and are not
-    built.  Each kernel evaluates its Bessel family once.
-    Returns ``fields._fold``'s apply step, rows in the order named.
+    built.  The times go in ``fields._fold_chunks``' chunks, whole times of at
+    most ``fields._FOLD_BLOCK`` nodes or one longer time: a chunk builds its
+    nodes at once, with each time's values broadcast over its own nodes (a
+    lone time's as scalars: per-node arrays cost a one-time build 30% more),
+    has ``_cone_values`` evaluate each Bessel family once for all the kernels,
+    and ``_fold`` folds it.  So every time's stencil is bitwise the one it gets
+    built alone, and temporaries stay bounded however many times there are.
+    Returns one apply(v, row) over rows (time, kernel): time i's kernel q is
+    row i * len(kernels) + q.
     """
-    radius = medium.c * abs(t)
-    n_sub = panel_count(2.0 * radius, grid.dx)
     out = grid if out_grid is None else out_grid
-    h = 2.0 * radius / n_sub
-    first, last = 0, n_sub
-    if h > 0.0:  # node indices of the offsets in [lo, hi]; at t = 0 all nodes sit at 0
-        lo, hi = out.x0 - grid.x_end - 3.0 * grid.dx, out.x_end - grid.x0 + 3.0 * grid.dx
-        first = math.floor(min(max(0.0, (lo + radius) / h), n_sub))
-        last = math.ceil(min(max(0.0, (hi + radius) / h), n_sub))
-    j = np.arange(first, last + 1)
-    offsets = -radius + h * j
-    offsets[j == n_sub] = radius
-    ends = (j == 0) | (j == n_sub)
-    weights = np.where(ends, 1.0, np.where(j % 2, 4.0, 2.0)) * (h / 3.0)
-    rows = []
-    for name in kernels:
-        dt = name == "kernel_dt"
-        rows.append(weights * _cone_values(offsets, t, medium, 1.0 - dt, 1.0 * dt, 0.0))
-        if dt:
-            rows[-1][ends] += 0.5
-    return _fold(grid, offsets, np.array(rows), out_grid)
+    lo, hi = out.x0 - grid.x_end - 3.0 * grid.dx, out.x_end - grid.x0 + 3.0 * grid.dx
+    windows = []  # (t, radius, panels, h, first node index, node count) per time
+    for t in map(float, times):
+        radius = medium.c * abs(t)
+        n_sub = panel_count(2.0 * radius, grid.dx)
+        h = 2.0 * radius / n_sub
+        first, last = 0, n_sub
+        if h > 0.0:  # node indices of the offsets in [lo, hi]; at t = 0 all nodes sit at 0
+            first = math.floor(min(max(0.0, (lo + radius) / h), n_sub))
+            last = math.ceil(min(max(0.0, (hi + radius) / h), n_sub))
+        windows.append((t, radius, n_sub, h, first, last - first + 1))
+    terms = [_KERNEL_TERMS[name] for name in kernels]
+    chunks = _fold_chunks([w[-1] for w in windows])
+    folds = []
+    for i, j in chunks:
+        if j - i == 1:  # one time: its values as scalars
+            t, radius, n_sub, h, first, count = windows[i]
+            node, count = np.arange(first, first + count), None
+        else:  # each time's values broadcast over its own nodes
+            t, radius, n_sub, h, first, count = map(np.array, zip(*windows[i:j]))
+            node = np.arange(count.sum()) + np.repeat(first - np.add.accumulate(count) + count,
+                                                      count)
+            t, radius, n_sub, h = (np.repeat(a, count) for a in (t, radius, n_sub, h))
+        top = node == n_sub
+        ends = (node == 0) | top
+        offsets = -radius + h * node
+        np.copyto(offsets, radius, where=top)
+        weights = np.array([2.0, 4.0])[node % 2]  # Simpson's 1, 4, 2, ..., 2, 4, 1
+        weights[ends] = 1.0
+        weights *= h / 3.0
+        node_weights = np.empty((len(kernels), node.size))
+        for q, value in enumerate(_cone_values(offsets, t, medium, terms)):
+            np.multiply(weights, value, out=node_weights[q])
+            if kernels[q] == "kernel_dt":
+                node_weights[q, ends] += 0.5
+        folds.append(_fold(grid, offsets, node_weights, out_grid, count))
+    rows = [(fold, q) for fold, (i, j) in zip(folds, chunks)
+            for q in range((j - i) * len(kernels))]
+
+    def apply(v: np.ndarray, row: int = 0) -> np.ndarray:
+        fold, q = rows[row]
+        return fold(v, q)
+
+    return apply
 
 
-def _rescaled_values(pairs, t: float, medium: MediumParams) -> list:
-    """K_t * f + K * (g + k f/2) for each data pair (f, g), from one stencil pair."""
-    if t == 0.0:
-        return [f.values.copy() for f, _ in pairs]
-    apply = _cone_stencils(pairs[0][0].grid, t, medium)
-    return [apply(f.values) + apply(g.values + 0.5 * medium.k * f.values, 1) for f, g in pairs]
+def _rescaled_values(pairs, times, medium: MediumParams) -> list:
+    """K_t * f + K * (g + k f/2) for each time and data pair (f, g), as rows [time][pair],
+    from one stencil build for the nonzero times."""
+    live = [t for t in times if t != 0.0]
+    apply = _cone_stencils(pairs[0][0].grid, live, medium) if live else None
+    data = [(f.values, g.values + 0.5 * medium.k * f.values) for f, g in pairs]
+    rows, i = [], 0
+    for t in times:
+        if t == 0.0:
+            rows.append([f.copy() for f, _ in data])
+            continue
+        rows.append([apply(f, 2 * i) + apply(geff, 2 * i + 1) for f, geff in data])
+        i += 1
+    return rows
 
 
 def solve_rescaled(f: SampledField, g: SampledField, t: float, medium: MediumParams):
     """Growth-compensated e^{kt/2} u(., t), t of either sign; ``solve`` estimates the error."""
     grid = _require_shared_grid(f, g)
     t = _check_time(t)
-    vals, = _rescaled_values([(f, g)], t, medium)
+    (vals,), = _rescaled_values([(f, g)], [t], medium)
     return SampledField(grid, vals)
 
 
@@ -128,10 +176,13 @@ def solve(f: SampledField, g: SampledField, t: float, medium: MediumParams,
     return (u, _half_grid_estimate(solve, f, g, t, medium, u)) if error_estimate else u
 
 
-def _solve_shared(pairs, t: float, medium: MediumParams) -> list:
-    """``solve`` of each data pair (f, g), all from one stencil pair."""
-    t = _check_time(t)
-    return _damped(pairs[0][0].grid, _rescaled_values(pairs, t, medium), t, medium)
+def _solve_shared(pairs, times, medium: MediumParams) -> list:
+    """``solve`` of each data pair (f, g) at each time, as rows [time][pair], all
+    from one stencil build."""
+    times = [_check_time(t) for t in times]
+    grid = pairs[0][0].grid
+    return [_damped(grid, vals, t, medium)
+            for t, vals in zip(times, _rescaled_values(pairs, times, medium))]
 
 
 def _velocity_data(f: SampledField, g: SampledField, medium: MediumParams) -> SampledField:
@@ -194,7 +245,7 @@ def point_source_solution(kind: str, t: float, medium: MediumParams,
     x = grid.points()
     _, inside = _masks(x, t, medium.c)  # the cone-edge points get no sample
     samples = np.zeros_like(x)
-    samples[inside] = damp * _cone_values(x[inside], t, medium, w_psi, a, d)
+    samples[inside] = damp * _cone_values(x[inside], t, medium, [(w_psi, a, d)])[0]
     return MixedMeasure(
         atoms=atoms,
         density=SampledField(grid, samples),
@@ -251,7 +302,7 @@ def convolve_measure(m: MixedMeasure, t: float, medium: MediumParams, which: str
         dens += _cone_combination(x - pos, t, medium, w_psi, w_reg, 0.0)
 
     if m.density is not None:
-        dens += _cone_stencils(m.density.grid, t, medium, (which,), out_grid)(m.density.values)
+        dens += _cone_stencils(m.density.grid, [t], medium, (which,), out_grid)(m.density.values)
 
     new_lo = min([lo] + [p for p, _ in m.atoms], default=lo) - radius
     new_hi = max([hi] + [p for p, _ in m.atoms], default=hi) + radius

@@ -338,6 +338,8 @@ _CORNERS = [
     ("kernel --c 1e300 --t 1e10 --n 5", 2),
     # k t / 2 = 700: I0 stays in float64 and e^{-kt/2} = 1e-304 is still a normal number
     ("delta --kind delta_velocity --k 1400 --t 1 --n 65", 0),
+    # slab times t/32 = 3.1e-15 apart: each slab keeps its own solve and window
+    ("validate --suite duhamel --t 1e-13 --k 4e13 --dx 1e-16", 0),
 ]
 
 

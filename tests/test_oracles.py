@@ -1,5 +1,6 @@
 import itertools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -284,6 +285,36 @@ class TestDuhamel:
             cfg = tg.DuhamelConfig(n_slabs=n)
             assert (tg.duhamel_residual(f, g, 1.0, medium, cfg, cache)
                     == tg.duhamel_residual(f, g, 1.0, medium, cfg))
+
+    def test_tiny_times_keep_their_slabs_apart(self):
+        # the problem scaled by s = 2^-45 in x and t (u_t by 1/s, k by 1/s) has
+        # bitwise the same residuals; slab times near 1e-14 once shared keys and
+        # read 0.045 / 0.030 / 0.025 against 4.7e-6 / 2.9e-7 / 1.8e-8
+        residuals = []
+        for s in (1.0, 2.0 ** -45):
+            grid = tg.SpaceGrid(-4.0 * s, s / 64, 513)
+            x = grid.points() / s
+            f = tg.SampledField(grid, np.exp(-x ** 2))
+            g = tg.SampledField(grid, 0.5 * np.exp(-(x - 0.2) ** 2) / s)
+            medium = tg.MediumParams(k=1.5 / s, c=1.0)
+            cache = {}
+            residuals.append([tg.duhamel_residual(f, g, s, medium, tg.DuhamelConfig(n), cache)
+                              for n in (8, 16, 32)])
+            residuals[-1].append(tg.duhamel_residual(f, g, s, medium, tg.DuhamelConfig(32)))
+        assert residuals[0] == residuals[1]
+
+    def test_a_call_without_cache_holds_one_chunk_of_slabs(self, medium):
+        # 256 slabs at n = 3073: holding every solve and window until the call
+        # returned peaked at 13.0 MB, 512 arrays of n floats
+        grid = tg.SpaceGrid(-6.0, 1.0 / 256, 3073)
+        f, g = gaussian(grid), tg.zeros(grid)
+        tracemalloc.start()
+        try:
+            tg.duhamel_residual(f, g, 0.25, medium, tg.DuhamelConfig(n_slabs=256))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 6e6
 
     def test_cache_refuses_other_inputs(self):
         # a cache filled for f1 once gave f1's residual 3.02e-6 for f2 (6.05e-6)

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -117,6 +118,25 @@ class TestNormReport:
         rows = tg.norm_report(state, medium, times)
         assert [row.t for row in rows] == times
         for row in rows:
+            out = tg.evolve(row.t, state, medium)
+            assert (row.u_l2, row.ut_l2, row.ux_l2) == (
+                tg.l2_norm(out.u), tg.l2_norm(out.ut), tg.l2_norm(tg.derivative_x(out.u)))
+
+    def test_many_times_hold_one_chunk_of_states(self, medium):
+        # 128 times at n = 3073: holding every time's states and stencils until
+        # the rows were formed peaked at 12.8 MB; rows past a chunk's end are
+        # still each time's own evolve
+        grid = tg.SpaceGrid(-6.0, 1.0 / 256, 3073)
+        state = tg.StatePair(gaussian(grid), tg.zeros(grid))
+        times = [0.002 * (i + 1) * (-1) ** i for i in range(128)]
+        tracemalloc.start()
+        try:
+            rows = tg.norm_report(state, medium, times)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 8e6
+        for row in (rows[0], rows[31], rows[32], rows[127]):
             out = tg.evolve(row.t, state, medium)
             assert (row.u_l2, row.ut_l2, row.ux_l2) == (
                 tg.l2_norm(out.u), tg.l2_norm(out.ut), tg.l2_norm(tg.derivative_x(out.u)))

@@ -469,9 +469,9 @@ class TestConeEdgeRule:
         # whose offsets can reach the grid, 4 a cell, are built
         built = []
 
-        def recording_fold(grid, offsets, weights, out_grid=None):
+        def recording_fold(grid, offsets, weights, *args):
             built.append(offsets.size)
-            return fold(grid, offsets, weights, out_grid)
+            return fold(grid, offsets, weights, *args)
 
         fold = solver._fold
         monkeypatch.setattr(solver, "_fold", recording_fold)
@@ -577,6 +577,27 @@ class TestConeEdgeRule:
             got = tg.convolve_measure(m, 0.0, EDGE_MEDIUM, "kernel_dt").density.values
             assert np.array_equal(got, np.pad(dens.values, 2))
 
+    @pytest.mark.parametrize("fold_block", [None, 256])
+    @pytest.mark.parametrize("k", [1.5, 30.0])
+    def test_times_built_together_match_each_built_alone(self, fold_block, k, monkeypatch):
+        # short windows share a chunk, the t = -5 window (2049 nodes) splits at
+        # the fold block, t = 0 is a delta and 0.11 comes twice; at k = 30 the
+        # t = 2.6 window reaches the Bessel expansion (z > 20), and one Bessel term
+        # count for a whole chunk would move t = 0.75's K_t stencil in its last bit;
+        # out grids sit on the data's points or 0.37 of a cell off
+        if fold_block is not None:
+            monkeypatch.setattr(fields, "_FOLD_BLOCK", fold_block)
+        grid = tg.SpaceGrid(-4.0, 1.0 / 64, 513)
+        v = 1.0 + 0.5 * np.cos(grid.points())
+        medium = tg.MediumParams(k=k, c=1.0)
+        times = [0.02, -0.37, 0.0, 1.08, 0.92, 0.75, 1.3, -5.0, 0.11, 0.11, 2.6, -0.02]
+        for out_grid in (None, tg.SpaceGrid(grid.x0 - 19.63 * grid.dx, grid.dx, grid.n + 40)):
+            together = solver._cone_stencils(grid, times, medium, out_grid=out_grid)
+            for i, t in enumerate(times):
+                alone = solver._cone_stencils(grid, [t], medium, out_grid=out_grid)
+                for q in range(2):
+                    assert together(v, 2 * i + q).tobytes() == alone(v, q).tobytes()
+
     def test_duhamel_windows_match_node_loop(self, monkeypatch):
         # the oracle's free-wave (k = 0) windows: K0_t and K0 of the t window,
         # then one K0 window per slab; c = 0.7 makes K0 = 1/(2c) inexact
@@ -585,15 +606,17 @@ class TestConeEdgeRule:
         def record(module):
             stencils = module._cone_stencils
 
-            def recording_stencils(grid, t, medium, kernels=("kernel_dt", "kernel"),
+            def recording_stencils(grid, times, medium, kernels=("kernel_dt", "kernel"),
                                    out_grid=None):
-                apply = stencils(grid, t, medium, kernels, out_grid)
+                apply = stencils(grid, times, medium, kernels, out_grid)
                 if medium.k != 0.0:
                     return apply
 
                 def recording_apply(values, row=0):
                     result = apply(values, row)
-                    calls.append((kernels[row], t, tg.SampledField(grid, values), result))
+                    t = times[row // len(kernels)]
+                    calls.append((kernels[row % len(kernels)], t, tg.SampledField(grid, values),
+                                  result))
                     return result
                 return recording_apply
             monkeypatch.setattr(module, "_cone_stencils", recording_stencils)
